@@ -12,6 +12,7 @@ derived columns to the same schema, so a derived CSV ingests again and
 re-emits byte for byte.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -140,26 +141,33 @@ def _parse_row(rec):
     )
 
 
-def ingest(path):
-    """Read a census CSV into validated rows.
+def ingest(source):
+    """Read a census CSV, given as a path or an open text stream, into
+    validated rows. A stream is read but not closed, and messages name it
+    by its `name` attribute, "<stdin>" for standard input.
 
     Malformed rows raise CensusFormatError with the offending line number;
     soft geometry warnings are re-issued with row context attached.
     """
-    path = Path(path)
-    try:
-        fh = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CensusFormatError("cannot read %s: %s" % (path, exc)) from exc
-    with fh:
-        reader = csv.DictReader(fh)
+    if hasattr(source, "read"):
+        fh = contextlib.nullcontext(source)
+        where = short = getattr(source, "name", "<stream>")
+    else:
+        path = Path(source)
+        where, short = path, path.name
+        try:
+            fh = path.open(newline="", encoding="utf-8")
+        except OSError as exc:
+            raise CensusFormatError("cannot read %s: %s" % (path, exc)) from exc
+    with fh as stream:
+        reader = csv.DictReader(stream)
         header = reader.fieldnames
         if header is None:
-            raise CensusFormatError("%s: empty file, expected a header row" % path)
+            raise CensusFormatError("%s: empty file, expected a header row" % where)
         missing = [c for c in _COLUMNS if c not in header]
         if missing:
             raise CensusFormatError(
-                "%s: header is missing columns %s" % (path, ", ".join(missing))
+                "%s: header is missing columns %s" % (where, ", ".join(missing))
             )
         rows = []
         for rec in reader:
@@ -170,11 +178,11 @@ def ingest(path):
                     row = _parse_row(rec)
                 except (ValueError, TypeError) as exc:
                     raise CensusFormatError(
-                        "%s line %d: %s" % (path, line, exc)
+                        "%s line %d: %s" % (where, line, exc)
                     ) from exc
             for w in caught:
                 warnings.warn(
-                    "%s line %d: %s" % (path.name, line, w.message),
+                    "%s line %d: %s" % (short, line, w.message),
                     GeometryWarning,
                     stacklevel=2,
                 )

@@ -7,9 +7,7 @@ error, 2 usage error.
 
 import argparse
 import math
-import os
 import sys
-import tempfile
 
 from . import census
 from .cusp import (
@@ -122,16 +120,7 @@ def _cmd_twist_verify(args):
 
 
 def _cmd_census_stats(args):
-    if args.path == "-":
-        fd, tmp = tempfile.mkstemp(suffix=".csv")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(sys.stdin.read())
-            rows = census.ingest(tmp)
-        finally:
-            os.unlink(tmp)
-    else:
-        rows = census.ingest(args.path)
+    rows = census.ingest(sys.stdin if args.path == "-" else args.path)
     report = census.derive(rows, args.envelope_b, args.envelope_c)
     agreement = census.sign_agreement(rows)
 

@@ -13,6 +13,10 @@ Conventions, fixed once for the whole package:
 - The first crossing's tuple is taken as written. Re-orientation (for
   codes built from plat closures, where some under-strands run c -> a)
   rotates offending tuples by two slots; strict parsing rejects them.
+
+A code is walked and validated once, by `_Geometry`, when
+`DiagramCode.from_tuples` builds it; the geometry stays on the code and
+both pipelines read it from there.
 """
 
 import heapq
@@ -46,16 +50,14 @@ class MultiComponentError(ValueError):
     """The code describes a link with more than one component."""
 
 
-# Sign conventions for the Goeritz pipeline, pinned by the cross-pipeline
-# battery in the test suite (each of the other three combinations fails it).
-_GOERITZ_SIGN = 1   # multiplies the white-corner orientation of each crossing
-_TYPE2_MATCH = 1    # crossing is type II when sign * corner orientation == this
-
-
 @dataclass(frozen=True)
 class DiagramCode:
     """A validated knot diagram: crossing tuples in the strict slot
-    convention plus the resolved sign of every crossing."""
+    convention plus the resolved sign of every crossing.
+
+    `from_tuples` keeps the `_Geometry` it validated the code with as the
+    attribute `_geom`. It is not a field, so it takes no part in `==`,
+    `hash` or `repr`."""
 
     crossings: tuple
     signs: tuple
@@ -71,10 +73,9 @@ class DiagramCode:
     @classmethod
     def from_tuples(cls, tuples, reorient=False):
         _validate_labels(tuples)
-        tuples = relabel_tuples([tuple(t) for t in tuples])
-        resolved, signs = _resolve(tuples, reorient)
-        code = cls(tuple(resolved), tuple(signs))
-        _Geometry(code)  # planarity and colourability checks
+        geom = _Geometry(relabel_tuples([tuple(t) for t in tuples]), reorient)
+        code = cls(geom.tuples, geom.signs)
+        object.__setattr__(code, "_geom", geom)
         return code
 
     @classmethod
@@ -150,108 +151,97 @@ def _validate_labels(tuples):
         raise ArcMultiplicityError("arc labels without exactly two ends: %s" % bad)
 
 
-def _resolve(tuples, reorient):
-    """Walk the single strand, fixing under-strand directions and reading
-    off crossing signs. Returns strict tuples and signs."""
-    n = len(tuples)
-    if n == 0:
-        return [], []
-    incid = defaultdict(list)
-    for c, t in enumerate(tuples):
-        for s, e in enumerate(t):
-            incid[e].append((c, s))
-    rotated = [False] * n
-    under_seen = [False] * n
-    over_entry = {}
-
-    start_edge = tuples[0][2]
-    under_seen[0] = True
-    cur_edge, departure = start_edge, (0, 2)
-    walked = 0
-    while True:
-        pair = incid[cur_edge]
-        arr = pair[1] if pair[0] == departure else pair[0]
-        c, s0 = arr
-        s_eff = (s0 + 2) % 4 if rotated[c] else s0
-        if s_eff == 0:
-            under_seen[c] = True
-            exit_eff = 2
-        elif s_eff == 2:
-            if not reorient:
-                raise PDSyntaxError(
-                    "under-strand enters crossing %d at its outgoing slot" % c
-                )
-            rotated[c] = True
-            if c in over_entry:
-                over_entry[c] = (over_entry[c] + 2) % 4
-            under_seen[c] = True
-            exit_eff = 2
-        else:
-            if c in over_entry:
-                raise MultiComponentError("strand revisits crossing %d" % c)
-            over_entry[c] = s_eff
-            exit_eff = (s_eff + 2) % 4
-        exit_orig = (exit_eff + 2) % 4 if rotated[c] else exit_eff
-        walked += 1
-        cur_edge, departure = tuples[c][exit_orig], (c, exit_orig)
-        if departure == (0, 2) and cur_edge == start_edge:
-            break
-        if walked > 2 * n:
-            raise MultiComponentError("strand walk does not close properly")
-    if walked < 2 * n:
-        raise MultiComponentError(
-            "closed strand covers %d of %d arcs" % (walked, 2 * n)
-        )
-    resolved = []
-    signs = []
-    for c, t in enumerate(tuples):
-        if rotated[c]:
-            t = (t[2], t[3], t[0], t[1])
-        resolved.append(t)
-        signs.append(1 if over_entry[c] == 3 else -1)
-    return resolved, signs
+def _geometry(d):
+    """The geometry of a code. One made by `from_tuples` carries it; a code
+    built directly from crossings and signs is checked on first use and
+    must be exactly what `from_tuples` makes of its crossings."""
+    geom = getattr(d, "_geom", None)
+    if geom is None:
+        made = DiagramCode.from_tuples(d.crossings)
+        if made != d:
+            raise PDSyntaxError("stored crossings or signs disagree with the strand walk")
+        geom = made._geom
+        object.__setattr__(d, "_geom", geom)
+    return geom
 
 
 class _Geometry:
-    """Everything derived from a validated code: strand direction of every
-    arc, faces of the rotation system, checkerboard colours, oriented
-    smoothing (circles and regions)."""
+    """Everything derived from one walk along the strand of a code: the
+    strict tuples and crossing signs, the direction of every arc, faces of
+    the rotation system, checkerboard colours and the oriented smoothing
+    (circles and regions). Built once per code, by `from_tuples`; each
+    step raises a `ValueError` subclass when the tuples are not a planar
+    knot diagram."""
 
-    def __init__(self, code):
-        self.code = code
-        self.tuples = list(code.crossings)
-        self.signs = list(code.signs)
-        n = self.n = code.n
-        if n == 0:
+    def __init__(self, tuples, reorient):
+        self.n = len(tuples)
+        if self.n == 0:
+            self.tuples, self.signs = (), ()
             return
-        resolved, signs = _resolve(self.tuples, reorient=False)
-        if list(signs) != self.signs or resolved != self.tuples:
-            raise PDSyntaxError("stored signs disagree with the strand walk")
-        self.incid = defaultdict(list)
-        for c, t in enumerate(self.tuples):
-            for s, e in enumerate(t):
-                self.incid[e].append((c, s))
-        self._strand_walk()
+        self._walk(tuples, reorient)
         self._faces()
         self._colour()
         self._smooth()
 
-    def _strand_walk(self):
-        self.head = {}
-        self.tail = {}
-        cur_edge, departure = self.tuples[0][2], (0, 2)
-        self.tail[cur_edge] = departure
+    def _walk(self, tuples, reorient):
+        # Follow the strand from the outgoing under-slot of crossing 0,
+        # fixing under-strand directions and reading off crossing signs.
+        # Incidences are recorded in the slots of the tuples as given and
+        # moved to the strict slots once the rotations are known.
+        n = self.n
+        incid = defaultdict(list)
+        for c, t in enumerate(tuples):
+            for s, e in enumerate(t):
+                incid[e].append((c, s))
+        rotated = [False] * n
+        over_seen = set()
+        head = {}
+        tail = {tuples[0][2]: (0, 2)}
+        cur_edge, departure = tuples[0][2], (0, 2)
+        walked = 0
         while True:
-            pair = self.incid[cur_edge]
+            pair = incid[cur_edge]
             arr = pair[1] if pair[0] == departure else pair[0]
-            self.head[cur_edge] = arr
-            c, s = arr
-            exit_slot = (s + 2) % 4
-            nxt = self.tuples[c][exit_slot]
-            if (c, exit_slot) == (0, 2):
+            head[cur_edge] = arr
+            c, s0 = arr
+            s_eff = (s0 + 2) % 4 if rotated[c] else s0
+            if s_eff == 2:
+                if not reorient:
+                    raise PDSyntaxError(
+                        "under-strand enters crossing %d at its outgoing slot" % c
+                    )
+                rotated[c] = True
+            elif s_eff != 0:
+                if c in over_seen:
+                    raise MultiComponentError("strand revisits crossing %d" % c)
+                over_seen.add(c)
+            walked += 1
+            departure = (c, (s0 + 2) % 4)
+            if departure == (0, 2):
                 break
-            self.tail[nxt] = (c, exit_slot)
-            cur_edge, departure = nxt, (c, exit_slot)
+            cur_edge = tuples[c][departure[1]]
+            tail[cur_edge] = departure
+            if walked > 2 * n:
+                raise MultiComponentError("strand walk does not close properly")
+        if walked < 2 * n:
+            raise MultiComponentError(
+                "closed strand covers %d of %d arcs" % (walked, 2 * n)
+            )
+
+        def strict(inc):
+            c, s = inc
+            return (c, (s + 2) % 4) if rotated[c] else inc
+
+        self.tuples = tuple(
+            (t[2], t[3], t[0], t[1]) if r else t for t, r in zip(tuples, rotated)
+        )
+        self.incid = {e: [strict(i) for i in pair] for e, pair in incid.items()}
+        self.head = {e: strict(i) for e, i in head.items()}
+        self.tail = {e: strict(i) for e, i in tail.items()}
+        # positive exactly when the over-strand enters at slot d
+        self.signs = tuple(
+            1 if self.head[t[3]] == (c, 3) else -1 for c, t in enumerate(self.tuples)
+        )
 
     def _faces(self):
         # a directed arc is named by the incidence (crossing, slot) it
@@ -425,9 +415,9 @@ class _Geometry:
 
 def checkerboard(d):
     """Goeritz matrix of the white surface plus the type-II correction."""
-    if d.n == 0:
+    g = _geometry(d)
+    if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
-    g = _Geometry(d)
     white = g.colour[g.outer_face]
     whites = [f for f in range(len(g.faces)) if g.colour[f] == white]
     windex = {f: i for i, f in enumerate(whites)}
@@ -442,13 +432,15 @@ def checkerboard(d):
             orient = -1
         else:
             raise PDSyntaxError("crossing %d lacks a diagonal white pair" % c)
-        eta = _GOERITZ_SIGN * orient
-        if d.signs[c] * orient == _TYPE2_MATCH:
-            correction -= eta
+        # the white-corner orientation is the Goeritz sign of the crossing,
+        # and the crossing is type II when its sign agrees with it; each
+        # other sign convention fails the cross-pipeline test battery
+        if g.signs[c] == orient:
+            correction -= orient
         wi, wj = windex[corners[ks[0]]], windex[corners[ks[1]]]
         if wi != wj:
-            m[wi][wj] -= eta
-            m[wj][wi] -= eta
+            m[wi][wj] -= orient
+            m[wj][wi] -= orient
     for i in range(len(whites)):
         m[i][i] = -sum(m[i][j] for j in range(len(whites)) if j != i)
     drop = windex[g.outer_face]
@@ -472,7 +464,7 @@ def _vogel_move(geom, defect):
     arc directions around the four new slots were worked out by hand from
     the two plane pictures (face left of both arcs, face right of both);
     the wrong choice is caught by the planarity check. Preserves the
-    circle count."""
+    circle count; returns the geometry of the new code."""
     ea, eb, side = defect
     tuples = [list(t) for t in geom.tuples]
     base = 2 * geom.n
@@ -500,29 +492,28 @@ def _vogel_move(geom, defect):
         except ValueError as err:
             last_err = err
             continue
-        return code
+        return code._geom
     raise RuntimeError("coherence move failed on both chiralities: %s" % last_err)
 
 
 def braid_word(d):
     """Braid word whose trace closure is the given knot, via coherence
     moves followed by reading the braid off the circle order."""
-    if d.n == 0:
+    geom = _geometry(d)
+    if geom.n == 0:
         return []
-    code = d
-    geom = _Geometry(code)
     cap = d.n * d.n + 8 * d.n + 64
     for _ in range(cap):
-        if geom.braided_path() is not None:
+        path = geom.braided_path()
+        if path is not None:
             break
         before = len(geom.circles)
-        code = _vogel_move(geom, geom.defect())
-        geom = _Geometry(code)
+        geom = _vogel_move(geom, geom.defect())
         if len(geom.circles) != before:
             raise RuntimeError("coherence move changed the circle count")
     else:
         raise RuntimeError("coherence moves did not terminate")
-    order, regions = geom.braided_path()
+    order, regions = path
     pos = {k: i + 1 for i, k in enumerate(order)}
 
     # seam: one arc per circle, consecutive seam arcs bordering a shared
@@ -622,7 +613,7 @@ def insert_kink(d, sign=1, edge=None):
     if d.n == 0:
         t = (1, 1, 2, 2) if sign > 0 else (1, 2, 2, 1)
         return DiagramCode.from_tuples([t])
-    geom = _Geometry(d)
+    geom = _geometry(d)
     if edge is None:
         edge = min(geom.incid)
     if edge not in geom.incid:

@@ -41,51 +41,46 @@ class HalfInt:
         return "%d/2" % self.twice_value
 
 
-# memo for the positive quadrant; other signs fold onto it. CPython dict
-# updates are atomic, so concurrent readers at worst recompute a value.
-_memo = {}
-
-
 def _kappa_pos(p, q):
-    """Twice kappa(p,q) for p, q >= 1."""
-    try:
-        return _memo[p, q]
-    except KeyError:
-        pass
-    if p < q:
-        v = _kappa_pos(q, p)
-    elif p == q:
-        # the reduction maps (q,q) to itself; solve kappa = -kappa - 1
-        # (odd q) and kappa = -kappa - 2 (even q) instead
-        v = -1 if p % 2 else -2
-    elif p == 2 * q:
-        v = -2
-    elif p > 2 * q:
-        # collapse k consecutive subtractions of 2q; each costs 1 when q
-        # is odd and nothing when q is even
-        r = p % (2 * q)
-        k = p // (2 * q)
-        d = 2 if q % 2 else 0
-        if r == 0:
-            v = -2 - (k - 1) * d
-        else:
-            v = _kappa_pos(r, q) - k * d
-    else:  # q < p < 2q
-        # the reflection step maps (q+t, q) to (q, q-t), a staircase that
-        # descends by t per step; a double step costs +1 (q odd) or -1
-        # (q even) when t is odd and nothing when t is even, so long
-        # staircases collapse in one jump
-        t = p - q
-        steps = (q - 1) // t
-        if steps >= 2:
-            m = steps // 2
-            delta = 0 if t % 2 == 0 else (2 if q % 2 else -2)
-            v = _kappa_pos(p - 2 * m * t, q - 2 * m * t) + m * delta
-        else:
-            inner = _kappa_pos(q, 2 * q - p)
-            v = -inner - (2 if q % 2 else 4)
-    _memo[p, q] = v
-    return v
+    """Twice kappa(p,q) for p, q >= 1. The loop keeps the answer as
+    sign * (twice kappa of the current pair) + offset, so its length is
+    that of Euclid's algorithm and its stack depth is constant."""
+    sign, offset = 1, 0
+    while True:
+        if p < q:
+            p, q = q, p
+        elif p == q:
+            # the reduction maps (q,q) to itself; solve kappa = -kappa - 1
+            # (odd q) and kappa = -kappa - 2 (even q) instead
+            return sign * (-1 if p % 2 else -2) + offset
+        elif p == 2 * q:
+            return -2 * sign + offset
+        elif p > 2 * q:
+            # collapse k consecutive subtractions of 2q; each costs 1 when q
+            # is odd and nothing when q is even
+            r = p % (2 * q)
+            k = p // (2 * q)
+            d = 2 if q % 2 else 0
+            if r == 0:
+                return sign * (-2 - (k - 1) * d) + offset
+            offset -= sign * k * d
+            p = r
+        else:  # q < p < 2q
+            # the reflection step maps (q+t, q) to (q, q-t), a staircase that
+            # descends by t per step; a double step costs +1 (q odd) or -1
+            # (q even) when t is odd and nothing when t is even, so long
+            # staircases collapse in one jump
+            t = p - q
+            steps = (q - 1) // t
+            if steps >= 2:
+                m = steps // 2
+                delta = 0 if t % 2 == 0 else (2 if q % 2 else -2)
+                offset += sign * m * delta
+                p, q = p - 2 * m * t, q - 2 * m * t
+            else:
+                offset -= sign * (2 if q % 2 else 4)
+                sign = -sign
+                p, q = q, 2 * q - p
 
 
 def kappa(p, q):

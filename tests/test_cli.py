@@ -195,6 +195,18 @@ class TestCensusStats:
         assert rc == 0
         assert "rows 3" in out
 
+    def test_stdin_error_names_stdin(self, capsys, tmp_path, monkeypatch):
+        header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
+        rows = ["A,5,-2,4.0,0.5,0.8,1.0,5.0,,", "B,5,-2,huge,0.5,0.8,1.0,5.0,,"]
+        stdin = io.StringIO("\n".join([header, *rows]) + "\n")
+        stdin.name = "<stdin>"  # the name sys.stdin reports
+        monkeypatch.setattr("sys.stdin", stdin)
+        rc = main(["census-stats", "-", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "<stdin> line 3" in err
+        assert "/tmp" not in err
+
     def test_malformed_csv_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,crossings\nK,5\n", encoding="utf-8")

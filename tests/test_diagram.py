@@ -89,6 +89,15 @@ class TestParse:
         d = parse_pd(TREFOIL_TEXT)
         assert parse_pd(pd_text(d)) == d
 
+    def test_direct_code_is_checked(self):
+        d = parse_pd(TREFOIL_TEXT)
+        same = DiagramCode(d.crossings, d.signs)
+        assert gl_signature(same) == seifert_signature(same) == gl_signature(d)
+        wrong = DiagramCode(d.crossings, tuple(-s for s in d.signs))
+        for pipeline in (gl_signature, seifert_signature):
+            with pytest.raises(PDSyntaxError):
+                pipeline(wrong)
+
 
 class TestCheckerboard:
     def test_unknot(self):

@@ -104,6 +104,14 @@ class TestKappa:
         w = kappa(10**18, 10**18 - 1)
         assert w.is_integer
 
+    def test_consecutive_fibonacci_terminates(self):
+        # consecutive Fibonacci numbers give the longest reduction chain
+        # for their size, one step per index
+        a, b = 0, 1
+        for _ in range(10**4):
+            a, b = b, a + b
+        assert frac(kappa(b, a)) == plain_kappa(b, a)
+
 
 SIGNATURE_VALUES = {
     (2, 3): -2,
