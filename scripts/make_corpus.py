@@ -61,7 +61,7 @@ def plat_word(cf):
 
 
 def two_bridge_diagram(cf):
-    return DiagramCode.from_tuples(plat_closure_tuples(plat_word(cf), 4), reorient=True)
+    return DiagramCode.from_tuples(plat_closure_tuples(plat_word(cf), 4))
 
 
 def canonical_q(p, q):

@@ -1,4 +1,4 @@
-"""Braid words, their closures as raw PD tuples, and braid Seifert matrices.
+"""Braid words, their closures as PD tuples, and braid Seifert matrices.
 
 A braid word is a list of nonzero signed integers: letter +i crosses strand
 position i over position i+1 (left over right, both oriented upward), -i is
@@ -92,10 +92,11 @@ def trace_closure_tuples(word, strands=None):
 
 
 def plat_closure_tuples(word, strands=None):
-    """Raw PD tuples of the plat closure: caps join positions (1,2), (3,4),
-    ... at both ends. Tuples follow the all-upward convention even though
-    plat strands alternate direction, so slot 0 may be the *outgoing*
-    under-strand; the diagram layer re-rotates such tuples.
+    """PD tuples of the plat closure, in the strict convention: caps join
+    positions (1,2), (3,4), ... at both ends. Plat strands alternate
+    direction, so the closure is walked once from crossing 0 as written and
+    every crossing whose under-strand the walk enters at slot 2 is turned by
+    two slots; crossings off the walked component of a link stay as built.
     """
     strands = strands or word_strands(word)
     if strands % 2:
@@ -117,8 +118,23 @@ def plat_closure_tuples(word, strands=None):
     for k in range(0, strands, 2):
         union(k + 1, k + 2)
         union(top[k], top[k + 1])
-    out = [tuple(find(e) for e in t) for t in tuples]
-    return relabel_tuples(out)
+    out = relabel_tuples([tuple(find(e) for e in t) for t in tuples])
+    if not out:
+        return out
+    ends = {}
+    for c, t in enumerate(out):
+        for s, e in enumerate(t):
+            ends.setdefault(e, []).append((c, s))
+    turned, departure = set(), (0, 2)
+    while True:
+        pair = ends[out[departure[0]][departure[1]]]
+        c, s = pair[1] if pair[0] == departure else pair[0]
+        if s == 2:
+            turned.add(c)
+        departure = (c, (s + 2) % 4)
+        if departure == (0, 2):
+            break
+    return [t[2:] + t[:2] if c in turned else t for c, t in enumerate(out)]
 
 
 def full_twist_word(start, size):

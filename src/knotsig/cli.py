@@ -2,7 +2,7 @@
 
 Results go to stdout in fixed "key value" or bare-number form; warnings go
 to stderr through the warnings machinery. Exit codes: 0 success, 1 domain
-error, 2 usage error.
+error, 2 usage error, 3 internal error (a `RuntimeError`, one stderr line).
 """
 
 import argparse
@@ -230,6 +230,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -46,11 +46,13 @@ class CuspShape:
     trusted: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.longitude > 0:
-            raise ValueError("longitude must be positive, got %r" % self.longitude)
-        if not self.meridian.imag > 0:
+        if not 0 < self.longitude < math.inf:
             raise ValueError(
-                "meridian must have positive imaginary part, got %r" % self.meridian
+                "longitude must be positive and finite, got %r" % self.longitude
+            )
+        if not (math.isfinite(self.meridian.real) and 0 < self.meridian.imag < math.inf):
+            raise ValueError(
+                "meridian must be finite with Im > 0, got %r" % self.meridian
             )
         if not self.trusted:
             lo, hi = MERIDIAN_RANGE
@@ -74,10 +76,12 @@ class KnotGeom:
     trusted: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.volume > 0:
-            raise ValueError("volume must be positive, got %r" % self.volume)
-        if not self.inj > 0:
-            raise ValueError("injectivity radius must be positive, got %r" % self.inj)
+        if not 0 < self.volume < math.inf:
+            raise ValueError("volume must be positive and finite, got %r" % self.volume)
+        if not 0 < self.inj < math.inf:
+            raise ValueError(
+                "injectivity radius must be positive and finite, got %r" % self.inj
+            )
         if self.sigma is not None and self.sigma % 2:
             raise ValueError("signature must be even, got %r" % self.sigma)
         if not self.trusted:

@@ -10,13 +10,12 @@ Conventions, fixed once for the whole package:
 - Faces are orbits of the rotation system; the unbounded face is the face
   at the corner between slots 0 and 1 of the first crossing, and "white"
   is the checkerboard colour of that face.
-- The first crossing's tuple is taken as written. Re-orientation (for
-  codes built from plat closures, where some under-strands run c -> a)
-  rotates offending tuples by two slots; strict parsing rejects them.
+- Codes are strict: one whose under-strand enters some crossing at slot 2
+  is rejected.
 
 A code is walked and validated once, by `_Geometry`, when
 `DiagramCode.from_tuples` builds it; the geometry stays on the code and
-both pipelines read it from there.
+both pipelines read it from there. Each Vogel move builds one new code.
 """
 
 import heapq
@@ -71,9 +70,9 @@ class DiagramCode:
         return sum(self.signs)
 
     @classmethod
-    def from_tuples(cls, tuples, reorient=False):
+    def from_tuples(cls, tuples):
         _validate_labels(tuples)
-        geom = _Geometry(relabel_tuples([tuple(t) for t in tuples]), reorient)
+        geom = _Geometry(relabel_tuples([tuple(t) for t in tuples]))
         code = cls(geom.tuples, geom.signs)
         object.__setattr__(code, "_geom", geom)
         return code
@@ -119,7 +118,7 @@ def parse_pd(text):
         raise PDSyntaxError("unrecognized input near %r" % residue.split()[0])
     if any(e < 1 for t in tuples for e in t):
         raise PDSyntaxError("arc labels must be positive integers")
-    return DiagramCode.from_tuples(tuples, reorient=False)
+    return DiagramCode.from_tuples(tuples)
 
 
 def pd_text(d):
@@ -173,50 +172,44 @@ class _Geometry:
     step raises a `ValueError` subclass when the tuples are not a planar
     knot diagram."""
 
-    def __init__(self, tuples, reorient):
+    def __init__(self, tuples):
         self.n = len(tuples)
         if self.n == 0:
             self.tuples, self.signs = (), ()
             return
-        self._walk(tuples, reorient)
+        self._walk(tuples)
         self._faces()
         self._colour()
         self._smooth()
 
-    def _walk(self, tuples, reorient):
+    def _walk(self, tuples):
         # Follow the strand from the outgoing under-slot of crossing 0,
-        # fixing under-strand directions and reading off crossing signs.
-        # Incidences are recorded in the slots of the tuples as given and
-        # moved to the strict slots once the rotations are known.
+        # checking under-strand directions and reading off crossing signs.
         n = self.n
-        incid = defaultdict(list)
+        incid = self.incid = defaultdict(list)
         for c, t in enumerate(tuples):
             for s, e in enumerate(t):
                 incid[e].append((c, s))
-        rotated = [False] * n
         over_seen = set()
-        head = {}
-        tail = {tuples[0][2]: (0, 2)}
+        head = self.head = {}
+        tail = self.tail = {tuples[0][2]: (0, 2)}
         cur_edge, departure = tuples[0][2], (0, 2)
         walked = 0
         while True:
             pair = incid[cur_edge]
             arr = pair[1] if pair[0] == departure else pair[0]
             head[cur_edge] = arr
-            c, s0 = arr
-            s_eff = (s0 + 2) % 4 if rotated[c] else s0
-            if s_eff == 2:
-                if not reorient:
-                    raise PDSyntaxError(
-                        "under-strand enters crossing %d at its outgoing slot" % c
-                    )
-                rotated[c] = True
-            elif s_eff != 0:
+            c, s = arr
+            if s == 2:
+                raise PDSyntaxError(
+                    "under-strand enters crossing %d at its outgoing slot" % c
+                )
+            if s != 0:
                 if c in over_seen:
                     raise MultiComponentError("strand revisits crossing %d" % c)
                 over_seen.add(c)
             walked += 1
-            departure = (c, (s0 + 2) % 4)
+            departure = (c, (s + 2) % 4)
             if departure == (0, 2):
                 break
             cur_edge = tuples[c][departure[1]]
@@ -227,20 +220,10 @@ class _Geometry:
             raise MultiComponentError(
                 "closed strand covers %d of %d arcs" % (walked, 2 * n)
             )
-
-        def strict(inc):
-            c, s = inc
-            return (c, (s + 2) % 4) if rotated[c] else inc
-
-        self.tuples = tuple(
-            (t[2], t[3], t[0], t[1]) if r else t for t, r in zip(tuples, rotated)
-        )
-        self.incid = {e: [strict(i) for i in pair] for e, pair in incid.items()}
-        self.head = {e: strict(i) for e, i in head.items()}
-        self.tail = {e: strict(i) for e, i in tail.items()}
+        self.tuples = tuple(tuples)
         # positive exactly when the over-strand enters at slot d
         self.signs = tuple(
-            1 if self.head[t[3]] == (c, 3) else -1 for c, t in enumerate(self.tuples)
+            1 if head[t[3]] == (c, 3) else -1 for c, t in enumerate(tuples)
         )
 
     def _faces(self):
@@ -462,9 +445,9 @@ def _vogel_move(geom, defect):
     """One coherence move: a second Reidemeister move pushing a finger of
     the first arc across their shared face and over the second arc. The
     arc directions around the four new slots were worked out by hand from
-    the two plane pictures (face left of both arcs, face right of both);
-    the wrong choice is caught by the planarity check. Preserves the
-    circle count; returns the geometry of the new code."""
+    the two plane pictures (face left of both arcs, face right of both),
+    so a new code that fails validation is a fault of this function.
+    Preserves the circle count; returns the geometry of the new code."""
     ea, eb, side = defect
     tuples = [list(t) for t in geom.tuples]
     base = 2 * geom.n
@@ -475,25 +458,14 @@ def _vogel_move(geom, defect):
     tuples[cb][sb] = b3
     a1, b1 = ea, eb
     if side == 0:
-        variants = [
-            ((b2, a2, b3, a1), (b1, a2, b2, a3)),
-            ((b2, a1, b3, a2), (b1, a3, b2, a2)),
-        ]
+        xa, xb = (b2, a2, b3, a1), (b1, a2, b2, a3)
     else:
-        variants = [
-            ((b2, a1, b3, a2), (b1, a3, b2, a2)),
-            ((b2, a2, b3, a1), (b1, a2, b2, a3)),
-        ]
-    last_err = None
-    for xa, xb in variants:
-        candidate = [tuple(t) for t in tuples] + [xa, xb]
-        try:
-            code = DiagramCode.from_tuples(candidate, reorient=False)
-        except ValueError as err:
-            last_err = err
-            continue
-        return code._geom
-    raise RuntimeError("coherence move failed on both chiralities: %s" % last_err)
+        xa, xb = (b2, a1, b3, a2), (b1, a3, b2, a2)
+    try:
+        code = DiagramCode.from_tuples([tuple(t) for t in tuples] + [xa, xb])
+    except ValueError as err:
+        raise RuntimeError("coherence move made an invalid code: %s" % err) from err
+    return code._geom
 
 
 def braid_word(d):
@@ -504,15 +476,18 @@ def braid_word(d):
         return []
     cap = d.n * d.n + 8 * d.n + 64
     for _ in range(cap):
-        path = geom.braided_path()
-        if path is not None:
+        defect = geom.defect()
+        if defect is None:
             break
         before = len(geom.circles)
-        geom = _vogel_move(geom, geom.defect())
+        geom = _vogel_move(geom, defect)
         if len(geom.circles) != before:
             raise RuntimeError("coherence move changed the circle count")
     else:
         raise RuntimeError("coherence moves did not terminate")
+    path = geom.braided_path()
+    if path is None:
+        raise RuntimeError("diagram without a defect is not braided")
     order, regions = path
     pos = {k: i + 1 for i, k in enumerate(order)}
 
@@ -604,7 +579,7 @@ def mirror_diagram(d):
             out.append((dd, a, b, c))
         else:
             out.append((b, c, dd, a))
-    return DiagramCode.from_tuples(out, reorient=False)
+    return DiagramCode.from_tuples(out)
 
 
 def insert_kink(d, sign=1, edge=None):
@@ -626,4 +601,4 @@ def insert_kink(d, sign=1, edge=None):
         tuples.append((edge, e2, x, x))
     else:
         tuples.append((edge, x, x, e2))
-    return DiagramCode.from_tuples(tuples, reorient=False)
+    return DiagramCode.from_tuples(tuples)

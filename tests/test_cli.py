@@ -207,6 +207,16 @@ class TestCensusStats:
         assert "<stdin> line 3" in err
         assert "/tmp" not in err
 
+    def test_non_finite_value_names_line(self, capsys, tmp_path):
+        header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
+        rows = ["A,5,-2,4.0,0.5,0.8,1.0,5.0,,", "B,5,-2,4.0,inf,0.8,1.0,5.0,,"]
+        path = tmp_path / "inf.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        rc = main(["census-stats", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "%s line 3:" % path in err
+
     def test_malformed_csv_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,crossings\nK,5\n", encoding="utf-8")
@@ -228,6 +238,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 1
         assert "error:" in captured.err
+
+    def test_non_finite_flag_is_1(self, capsys):
+        rc = main([
+            "bounds", "--longitude", "inf", "--meridian", "0.7237+1.0160i",
+            "--volume", "3.16", "--inj", "0.55", "--sigma", "0",
+        ])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_internal_error_is_3(self, capsys, tmp_path, monkeypatch):
+        def broken(d):
+            raise RuntimeError("coherence moves did not terminate")
+
+        monkeypatch.setattr("knotsig.diagram.braid_word", broken)
+        path = tmp_path / "trefoil.pd"
+        path.write_text(TestDiagramCommands.TREFOIL, encoding="utf-8")
+        rc = main(["signature", str(path), "--method", "seifert"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "internal error: coherence moves did not terminate\n"
 
     def test_missing_file_is_1(self, capsys):
         rc, _ = run_cli(capsys, "signature", "/no/such/file.pd")

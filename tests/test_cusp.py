@@ -51,6 +51,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             KnotGeom(STEVEDORE, 3.0, 0.5, sigma=3)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CuspShape(bad, 1j)
+        with pytest.raises(ValueError, match="finite"):
+            CuspShape(1.0, complex(bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            CuspShape(1.0, complex(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            KnotGeom(STEVEDORE, bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            KnotGeom(STEVEDORE, 3.0, bad)
+
     def test_soft_warnings(self):
         with pytest.warns(GeometryWarning):
             CuspShape(1.0, 0.5j)

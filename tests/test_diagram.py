@@ -1,5 +1,6 @@
 """Diagram parsing, the Goeritz pipeline, and the Seifert pipeline."""
 
+import importlib.resources
 import random
 
 import pytest
@@ -24,10 +25,11 @@ from knotsig.diagram import (
 )
 
 TREFOIL_TEXT = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+CORPUS = str(importlib.resources.files("knotsig") / "data" / "corpus.tsv")
 
 
 def plat(word):
-    return DiagramCode.from_tuples(braid.plat_closure_tuples(word, 4), reorient=True)
+    return DiagramCode.from_tuples(braid.plat_closure_tuples(word, 4))
 
 
 def goeritz_det(d):
@@ -77,17 +79,33 @@ class TestParse:
             parse_pd("X(2,4,3,1) X(4,2,1,3)")
 
     def test_convention_violation(self):
-        # this plat's under-strand runs against the slot rule at one
-        # crossing; strict parsing refuses, the reorienting constructor fixes
-        tuples = braid.plat_closure_tuples([2, 2, -1, 2], 4)
-        text = " ".join("X(%d,%d,%d,%d)" % t for t in tuples)
+        # the all-upward tuples of the plat [2, 2, -1, 2]: the under-strand
+        # enters the second crossing at slot 2, so strict parsing refuses
         with pytest.raises(PDSyntaxError):
-            parse_pd(text)
+            parse_pd("X(2,4,3,1) X(4,6,5,3) X(1,5,7,8) X(6,2,8,7)")
         assert plat([2, 2, -1, 2]).n == 4
 
     def test_round_trip(self):
         d = parse_pd(TREFOIL_TEXT)
         assert parse_pd(pd_text(d)) == d
+
+    def test_plat_closures_are_strict(self):
+        rng = random.Random(7)
+        knots = 0
+        while knots < 60:
+            strands = rng.choice((4, 6, 8, 10))
+            word = [
+                rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 3 * strands))
+            ]
+            tuples = braid.plat_closure_tuples(word, strands)
+            try:
+                d = DiagramCode.from_tuples(tuples)
+            except MultiComponentError:
+                continue
+            knots += 1
+            text = " ".join("X(%d,%d,%d,%d)" % t for t in tuples)
+            assert parse_pd(text) == d, word
 
     def test_direct_code_is_checked(self):
         d = parse_pd(TREFOIL_TEXT)
@@ -169,6 +187,17 @@ class TestSeifert:
             d = plat(word)
             w = diagram.braid_word(d)
             assert gl_signature(DiagramCode.from_braid_word(w)) == gl_signature(d)
+
+    def test_braid_word_pinned(self):
+        corpus = diagram.load_fixture_file(CORPUS)
+        assert diagram.braid_word(corpus["b(9,2)"]) == [
+            -2, -1, -2, 3, -2, 1, -4, 3, 2, 3, 4, 3,
+        ]
+        assert diagram.braid_word(corpus["T(3,4)"]) == [1, 2] * 4
+        assert diagram.braid_word(corpus["pretzel(-2,3,7)"]) == [
+            2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 1, 2,
+        ]
+        assert sum(len(diagram.braid_word(d)) for d in corpus.values()) == 781
 
     def test_kink_then_unknot_word(self):
         d = insert_kink(DiagramCode.from_tuples([]), sign=1)
