@@ -107,9 +107,12 @@ class KnotGeom:
 def natural_slope(c):
     """Re(longitude/meridian) = longitude * Re(meridian) / |meridian|^2."""
     m = abs(c.meridian)
-    if m == 0:
-        raise ValueError("meridian is zero")
-    return c.longitude * c.meridian.real / (m * m)
+    if m * m == 0:
+        raise ValueError("|meridian|^2 underflows to zero, meridian %r" % c.meridian)
+    slope = c.longitude * c.meridian.real / (m * m)
+    if not math.isfinite(slope):
+        raise ValueError("natural slope overflows, meridian %r" % c.meridian)
+    return slope
 
 
 def slope_length(c, p, q):
@@ -142,6 +145,8 @@ def exceptional_window(slope, p):
     a given integer p >= 1: every slope outside it has length > 6."""
     if p < 1:
         raise ValueError("p must be a positive integer, got %r" % p)
+    if not math.isfinite(slope):
+        raise ValueError("slope must be finite, got %r" % slope)
     return Interval(-slope - 6 / p, -slope + 6 / p)
 
 

@@ -15,7 +15,10 @@ Conventions, fixed once for the whole package:
 
 A code is walked and validated once, by `_Geometry`, when
 `DiagramCode.from_tuples` builds it; the geometry stays on the code and
-both pipelines read it from there. Each Vogel move builds one new code.
+both pipelines read it from there. The geometry holds the walk, the faces
+and the Seifert circles; `checkerboard` colours the faces and
+`braided_path` joins them into regions, each for itself. Each Vogel move
+builds one new geometry.
 """
 
 import heapq
@@ -165,12 +168,12 @@ def _geometry(d):
 
 
 class _Geometry:
-    """Everything derived from one walk along the strand of a code: the
-    strict tuples and crossing signs, the direction of every arc, faces of
-    the rotation system, checkerboard colours and the oriented smoothing
-    (circles and regions). Built once per code, by `from_tuples`; each
-    step raises a `ValueError` subclass when the tuples are not a planar
-    knot diagram."""
+    """What one walk along the strand of a code determines: the strict
+    tuples and crossing signs, the direction of every arc, the faces of
+    the rotation system and the circles of the oriented smoothing. Built
+    once per code, by `from_tuples`, and once per Vogel move; the walk and
+    the face count raise a `ValueError` subclass when the tuples are not a
+    planar knot diagram."""
 
     def __init__(self, tuples):
         self.n = len(tuples)
@@ -179,8 +182,7 @@ class _Geometry:
             return
         self._walk(tuples)
         self._faces()
-        self._colour()
-        self._smooth()
+        self._circles()
 
     def _walk(self, tuples):
         # Follow the strand from the outgoing under-slot of crossing 0,
@@ -257,29 +259,7 @@ class _Geometry:
         """Face at the corner between slots k and k+1 of crossing c."""
         return self.face_of[(c, k)]
 
-    def _colour(self):
-        adj = defaultdict(set)
-        for e, pair in self.incid.items():
-            f1, f2 = self.face_of[pair[0]], self.face_of[pair[1]]
-            adj[f1].add(f2)
-            adj[f2].add(f1)
-        colour = [None] * len(self.faces)
-        colour[0] = 0
-        queue = [0]
-        while queue:
-            f = queue.pop()
-            for g in adj[f]:
-                if colour[g] is None:
-                    colour[g] = 1 - colour[f]
-                    queue.append(g)
-                elif colour[g] == colour[f]:
-                    raise PDSyntaxError("faces are not checkerboard colourable")
-        if any(c is None for c in colour):
-            raise PDSyntaxError("disconnected face graph")
-        self.colour = colour
-        self.outer_face = self.corner(0, 0)
-
-    def _smooth(self):
+    def _circles(self):
         # oriented smoothing: each arc's successor around its Seifert circle
         succ = {}
         succ_crossing = {}
@@ -309,6 +289,12 @@ class _Geometry:
         self.circles = circles
         self.circle_of = circle_of
 
+    def braided_path(self):
+        """Circle and region order of a coherent diagram: the incidence
+        path r0, c0, r1, c1, ..., or None when the diagram is not braided.
+        The regions are the faces of the smoothing, each a union of faces
+        of the diagram. Returns (circle_order, region_order, region_of),
+        where region_of maps each face to its region."""
         parent = list(range(len(self.faces)))
 
         def find(x):
@@ -323,40 +309,37 @@ class _Geometry:
             else:
                 a, b = self.corner(c, 0), self.corner(c, 2)
             parent[find(a)] = find(b)
-        self.region_of = [find(f) for f in range(len(self.faces))]
-        regions = sorted(set(self.region_of))
-        if len(regions) != len(circles) + 1:
-            raise PDSyntaxError(
+        region_of = [find(f) for f in range(len(self.faces))]
+        # s disjoint circles cut the sphere into s + 1 regions, and every
+        # circle has one region on each side, so these checks can fail
+        # only through a fault of this module
+        if len(set(region_of)) != len(self.circles) + 1:
+            raise RuntimeError(
                 "smoothing produced %d regions for %d circles"
-                % (len(regions), len(circles))
+                % (len(set(region_of)), len(self.circles))
             )
-        # sides: region to the right of an arc is the faceAT its head
-        # incidence, the left one sits at its tail incidence
-        self.side = []  # per circle: (left_region, right_region)
-        for cyc in circles:
-            lefts = {self.region_of[self.face_of[self.tail[e]]] for e in cyc}
-            rights = {self.region_of[self.face_of[self.head[e]]] for e in cyc}
+        # the region right of an arc is the face at its head incidence,
+        # the left one is the face at its tail incidence
+        side = []  # per circle: (left_region, right_region)
+        touches = defaultdict(list)  # region -> [(circle, side)]
+        for k, cyc in enumerate(self.circles):
+            lefts = {region_of[self.face_of[self.tail[e]]] for e in cyc}
+            rights = {region_of[self.face_of[self.head[e]]] for e in cyc}
             if len(lefts) != 1 or len(rights) != 1:
-                raise PDSyntaxError("smoothed circle borders inconsistent regions")
+                raise RuntimeError("smoothed circle borders inconsistent regions")
             left, right = lefts.pop(), rights.pop()
             if left == right:
-                raise PDSyntaxError("smoothed circle borders one region twice")
-            self.side.append((left, right))
-        self.region_touches = defaultdict(list)  # region -> [(circle, side)]
-        for k, (left, right) in enumerate(self.side):
-            self.region_touches[left].append((k, 0))
-            self.region_touches[right].append((k, 1))
+                raise RuntimeError("smoothed circle borders one region twice")
+            side.append((left, right))
+            touches[left].append((k, 0))
+            touches[right].append((k, 1))
 
-    def braided_path(self):
-        """Circle and region order of a coherent diagram: the incidence
-        path r0, c0, r1, c1, ..., or None when the diagram is not braided.
-        Returns (circle_order, region_order)."""
-        deg1 = [r for r, inc in self.region_touches.items() if len(inc) == 1]
-        if any(len(inc) > 2 for inc in self.region_touches.values()):
+        deg1 = [r for r, inc in touches.items() if len(inc) == 1]
+        if any(len(inc) > 2 for inc in touches.values()):
             return None
         if len(deg1) != 2:
             return None
-        for inc in self.region_touches.values():
+        for inc in touches.values():
             if len(inc) == 2 and inc[0][1] == inc[1][1]:
                 return None
         start = min(deg1)
@@ -364,18 +347,18 @@ class _Geometry:
         region_order = [start]
         region, seen = start, set()
         while True:
-            nxt = [k for k, _ in self.region_touches[region] if k not in seen]
+            nxt = [k for k, _ in touches[region] if k not in seen]
             if not nxt:
                 break
             k = nxt[0]
             seen.add(k)
             circle_order.append(k)
-            left, right = self.side[k]
+            left, right = side[k]
             region = right if region == left else left
             region_order.append(region)
         if len(circle_order) != len(self.circles):
             return None
-        return circle_order, region_order
+        return circle_order, region_order, region_of
 
     def defect(self):
         """Two arcs of one face, on distinct circles, with the face on the
@@ -401,14 +384,22 @@ def checkerboard(d):
     g = _geometry(d)
     if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
-    white = g.colour[g.outer_face]
-    whites = [f for f in range(len(g.faces)) if g.colour[f] == white]
+    # the face left of the walk changes colour at every crossing, and head
+    # lists the arcs in walk order; a colouring that is not a checkerboard
+    # leaves some crossing without a diagonal white pair
+    colour = [0] * len(g.faces)
+    for i, (c, s) in enumerate(g.head.values()):
+        colour[g.corner(c, (s - 1) % 4)] = i % 2
+        colour[g.corner(c, s)] = 1 - i % 2
+    outer = g.corner(0, 0)
+    white = colour[outer]
+    whites = [f for f in range(len(g.faces)) if colour[f] == white]
     windex = {f: i for i, f in enumerate(whites)}
     m = [[0] * len(whites) for _ in whites]
     correction = 0
     for c in range(d.n):
         corners = [g.corner(c, k) for k in range(4)]
-        ks = [k for k in range(4) if g.colour[corners[k]] == white]
+        ks = [k for k in range(4) if colour[corners[k]] == white]
         if ks == [0, 2]:
             orient = 1
         elif ks == [1, 3]:
@@ -426,7 +417,7 @@ def checkerboard(d):
             m[wj][wi] -= orient
     for i in range(len(whites)):
         m[i][i] = -sum(m[i][j] for j in range(len(whites)) if j != i)
-    drop = windex[g.outer_face]
+    drop = windex[outer]
     reduced = [
         [m[i][j] for j in range(len(whites)) if j != drop]
         for i in range(len(whites))
@@ -447,6 +438,7 @@ def _vogel_move(geom, defect):
     arc directions around the four new slots were worked out by hand from
     the two plane pictures (face left of both arcs, face right of both),
     so a new code that fails validation is a fault of this function.
+    Its labels are exactly 1..2n+4, so they need no relabelling.
     Preserves the circle count; returns the geometry of the new code."""
     ea, eb, side = defect
     tuples = [list(t) for t in geom.tuples]
@@ -461,11 +453,12 @@ def _vogel_move(geom, defect):
         xa, xb = (b2, a2, b3, a1), (b1, a2, b2, a3)
     else:
         xa, xb = (b2, a1, b3, a2), (b1, a3, b2, a2)
+    tuples = [tuple(t) for t in tuples] + [xa, xb]
     try:
-        code = DiagramCode.from_tuples([tuple(t) for t in tuples] + [xa, xb])
+        _validate_labels(tuples)
+        return _Geometry(tuples)
     except ValueError as err:
         raise RuntimeError("coherence move made an invalid code: %s" % err) from err
-    return code._geom
 
 
 def braid_word(d):
@@ -488,7 +481,7 @@ def braid_word(d):
     path = geom.braided_path()
     if path is None:
         raise RuntimeError("diagram without a defect is not braided")
-    order, regions = path
+    order, regions, region_of = path
     pos = {k: i + 1 for i, k in enumerate(order)}
 
     # seam: one arc per circle, consecutive seam arcs bordering a shared
@@ -499,8 +492,8 @@ def braid_word(d):
         between = regions[i + 1]  # region between circles order[i], order[i+1]
         head_face = geom.face_of[geom.head[e]]
         tail_face = geom.face_of[geom.tail[e]]
-        face = head_face if geom.region_of[head_face] == between else tail_face
-        if geom.region_of[face] != between:
+        face = head_face if region_of[head_face] == between else tail_face
+        if region_of[face] != between:
             raise RuntimeError("seam face lookup failed")
         candidates = [
             geom.tuples[c][s]

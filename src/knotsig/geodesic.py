@@ -29,8 +29,10 @@ class GeodesicRecord:
         if self.linking_parity not in ("odd", "even"):
             raise ValueError("linking_parity must be 'odd' or 'even', got %r"
                              % self.linking_parity)
-        if self.tube_radius is not None and not self.tube_radius > 0:
-            raise ValueError("tube radius must be positive, got %r" % self.tube_radius)
+        if self.tube_radius is not None and not 0 < self.tube_radius < math.inf:
+            raise ValueError(
+                "tube radius must be positive and finite, got %r" % self.tube_radius
+            )
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,10 @@ class TwistParam:
 
 
 def _validate_length(cl):
-    if not cl.real > 0:
-        raise ValueError("complex length needs positive real part, got %r" % cl)
+    if not 0 < cl.real < math.inf:
+        raise ValueError(
+            "complex length needs positive finite real part, got %r" % cl
+        )
     if not -math.pi < cl.imag <= math.pi:
         raise ValueError(
             "imaginary part %r outside the principal band (-pi, pi]" % cl.imag
@@ -85,8 +89,8 @@ def twisting_parameter(cl):
 def tube_torus(cl, r):
     """Lattice generators (meridian, canonical longitude) of the boundary
     torus of a radius-r tube around a geodesic of complex length cl."""
-    if not r > 0:
-        raise ValueError("tube radius must be positive, got %r" % r)
+    if not 0 < r < math.inf:
+        raise ValueError("tube radius must be positive and finite, got %r" % r)
     meridian = complex(0, _TWO_PI * math.sinh(r))
     longitude = complex(math.cosh(r) * cl.real, math.sinh(r) * cl.imag)
     return meridian, longitude

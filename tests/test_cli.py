@@ -247,6 +247,40 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("tw", "--re", "inf", "--im", "0.1"),
+            ("window", "--slope", "nan"),
+            ("window", "--slope", "inf"),
+            ("window", "--slope=-inf"),
+            ("slope", "--longitude", "1", "--meridian", "1e-170+1e-170i"),
+        ],
+        ids=["tw-re-inf", "window-nan", "window-inf", "window-minus-inf",
+             "slope-underflow"],
+    )
+    # the tiny meridian of the underflow case also warns that it is out of range
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    def test_non_finite_value_is_1(self, capsys, args):
+        rc = main(list(args))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_infinite_tube_radius_is_1(self, capsys, tmp_path):
+        path = tmp_path / "geos.txt"
+        path.write_text("0.2+3.1415i:odd:inf\n", encoding="utf-8")
+        rc = main([
+            "correct-slope", str(path), "--slope", "5", "--epsilon", "0.1",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_internal_error_is_3(self, capsys, tmp_path, monkeypatch):
         def broken(d):
             raise RuntimeError("coherence moves did not terminate")

@@ -99,6 +99,14 @@ class TestNaturalSlope:
     def test_imaginary_meridian(self):
         assert natural_slope(CuspShape(11.0, 2.0j)) == 0.0
 
+    @pytest.mark.parametrize(
+        "longitude, meridian",
+        [(1.0, complex(1e-170, 1e-170)), (1e300, complex(1e-10, 1e-10))],
+    )
+    def test_underflow_and_overflow_rejected(self, longitude, meridian):
+        with pytest.raises(ValueError):
+            natural_slope(CuspShape(longitude, meridian, trusted=True))
+
     @given(
         st.floats(0.5, 30.0),
         st.floats(-3.0, 3.0),
@@ -161,6 +169,11 @@ class TestWindow:
     def test_domain(self):
         with pytest.raises(ValueError):
             exceptional_window(1.0, 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_slope_rejected(self, bad):
+        with pytest.raises(ValueError):
+            exceptional_window(bad, 1)
 
     @given(st.floats(-100, 100), st.integers(1, 50))
     def test_shape(self, s, p):

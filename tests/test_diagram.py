@@ -136,6 +136,27 @@ class TestCheckerboard:
         # 4-plat of 9/2, continued fraction [4,1,1]
         assert gl_signature(plat([2, 2, 2, 2, -1, 2])) == 0
 
+    def test_checkerboard_pinned(self):
+        # exact Goeritz entries, not only signatures: a change of colouring
+        # can move the matrix and keep the signature
+        corpus = diagram.load_fixture_file(CORPUS)
+        g = checkerboard(corpus["b(9,2)"])
+        assert g.matrix.entries == (
+            (3, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2),
+        )
+        assert g.euler_correction == -4
+        g = checkerboard(corpus["T(3,4)"])
+        assert g.matrix.entries == (
+            (4, -1, -1, -1), (-1, -1, 1, 0), (-1, 1, -1, 1), (-1, 0, 1, -1),
+        )
+        assert g.euler_correction == -4
+        g = checkerboard(parse_pd(TREFOIL_TEXT))
+        assert g.matrix.entries == ((2, -1), (-1, 2))
+        assert g.euler_correction == 0
+        data = [checkerboard(d) for d in corpus.values()]
+        assert sum(g.matrix.n for g in data) == 221
+        assert sum(g.euler_correction for g in data) == -259
+
     def test_goeritz_battery(self):
         # frozen cross-pipeline battery; the other three sign conventions
         # for the correction all fail at least one row

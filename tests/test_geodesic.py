@@ -63,6 +63,17 @@ class TestGeodesicRecord:
         with pytest.raises(ValueError):
             GeodesicRecord(complex(0.1, 1.0), "odd", tube_radius=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            GeodesicRecord(complex(bad, 1.0), "odd")
+        with pytest.raises(ValueError):
+            GeodesicRecord(complex(0.1, 1.0), "odd", tube_radius=bad)
+        with pytest.raises(ValueError):
+            twisting_parameter(complex(bad, 0.1))
+        with pytest.raises(ValueError):
+            tube_torus(complex(0.3, 0.0), bad)
+
 
 class TestTwistingParameter:
     def test_pinned(self):
