@@ -60,7 +60,7 @@ class CuspShape:
                 warnings.warn(
                     "|meridian| = %.4f outside [%g, %g]" % (abs(self.meridian), lo, hi),
                     GeometryWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
 
@@ -89,13 +89,13 @@ class KnotGeom:
                 warnings.warn(
                     "volume %.4f not above %.4f" % (self.volume, MIN_VOLUME),
                     GeometryWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             if self.inj > MAX_INJ:
                 warnings.warn(
                     "injectivity radius %.4f above %.2f" % (self.inj, MAX_INJ),
                     GeometryWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
     def _require_sigma(self):

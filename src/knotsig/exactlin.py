@@ -1,12 +1,16 @@
-"""Exact inertia of symmetric integer matrices via congruence reduction.
+"""Exact inertia of symmetric integer matrices by fraction-free elimination.
 
-All arithmetic is over unbounded Python integers; every transformation is a
-congruence A -> E A E^T with det(E) != 0, so by Sylvester's law of inertia
-the sign counts of the resulting diagonal equal those of the input.
+`inertia` runs a symmetric Bareiss elimination (E. H. Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
+22 (1968)) on sparse rows.  Every step is a congruence A -> E A E^T with
+det(E) != 0, so by Sylvester's law of inertia the signs of the LDL^T pivots
+it reads off are the eigenvalue signs of the input.  All arithmetic is over
+unbounded Python integers, and every stored number is a minor of the input
+(after the zero-diagonal repairs), so no entry outgrows Hadamard's bound.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from heapq import heapify, heappop, heappush
 
 
 @dataclass(frozen=True)
@@ -50,64 +54,115 @@ class InertiaTriple:
         return self.n_pos - self.n_neg
 
 
-def _swap_sym(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+def _pivots(rows):
+    """Yield the Bareiss pivots d_1, d_2, ... of the symmetric integer
+    matrix `rows`, in elimination order; there is one per nonzero
+    eigenvalue.
 
+    d_t is the principal minor of the input (after the repairs below)
+    on the first t pivot indices, so the t-th LDL^T pivot is
+    d_t / d_{t-1}, with d_0 = 1.  Rows are dicts of their nonzeros.
+    Eliminating pivot k with value p rewrites each row i that meets
+    column k as a_ij <- (p a_ij - a_ik a_kj) // prev, prev the previous
+    pivot; by Sylvester's identity the result is again a minor, so the
+    division is exact.  A row that column k misses would only be scaled
+    by p / prev: it is left as it is, with the pivot count at which it
+    was last rewritten, and scaled by d_now / d_then (exactly, as its
+    entries are minors too) when it is next read.
 
-def _add_sym(a, i, j):
-    # row i += row j, then col i += col j; a[i][i] becomes 2*a[i][j] when
-    # both diagonals are zero.
-    n = len(a)
-    for t in range(n):
-        a[i][t] += a[j][t]
-    for t in range(n):
-        a[t][i] += a[t][j]
+    The next pivot is the remaining index with a nonzero diagonal and
+    the fewest nonzeros (minimum degree, lowest index on ties); any
+    symmetric order is a congruence.  When every remaining diagonal is
+    zero, row and column k get row and column j added, for a neighbour
+    j of k, which makes the pivot 2 a_kj != 0; row k is pivoted at
+    once, so each row of the accumulated transform has at most two ones
+    and each transformed entry is a sum of at most four input entries.
+    Rows that become empty are zero eigenvalues and yield nothing.
+    """
+    n = len(rows)
+    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    seen = [0] * n
+    d = [1]
+    # (degree, index) of every row with a nonzero diagonal; an entry whose
+    # row has since been pivoted or rewritten is stale and skipped
+    heap = [(len(row), i) for i, row in enumerate(a) if i in row]
+    heapify(heap)
+
+    def fresh(i):
+        row, s, t = a[i], seen[i], len(d) - 1
+        if s != t:
+            num, den = d[t], d[s]
+            for j, x in row.items():
+                row[j] = x * num // den
+            seen[i] = t
+        return row
+
+    def degree(i):
+        return len(a[i]), i
+
+    while True:
+        while heap:
+            size, k = heappop(heap)
+            if k in a[k] and len(a[k]) == size:
+                row_k = fresh(k)
+                break
+        else:
+            rest = [i for i, row in enumerate(a) if row]
+            if not rest:
+                return
+            k = min(rest, key=degree)
+            j = min(a[k], key=degree)
+            row_k, row_j = fresh(k), fresh(j)
+            for m, y in row_j.items():
+                if m != k:
+                    x = row_k.get(m, 0) + y
+                    if x:
+                        row_k[m] = x
+                    else:
+                        del row_k[m]
+                    row_m = a[m]
+                    x = row_m.get(k, 0) + row_m[j]
+                    if x:
+                        row_m[k] = x
+                    else:
+                        del row_m[k]
+            row_k[k] = 2 * row_j[k]
+        p = row_k.pop(k)
+        prev = d[-1]
+        for i, f in row_k.items():
+            row_i = fresh(i)
+            del row_i[k]
+            new = {j: p * x for j, x in row_i.items()}
+            for j, y in row_k.items():
+                new[j] = new.get(j, 0) - f * y
+            a[i] = row_i = {j: x // prev for j, x in new.items() if x}
+            seen[i] = len(d)
+            if i in row_i:
+                heappush(heap, (len(row_i), i))
+        a[k] = {}
+        d.append(p)
+        yield p
 
 
 def inertia(m):
     """Exact eigenvalue sign counts of a SymIntMatrix.
 
-    Symmetric congruence diagonalization; zero diagonal pivots are repaired
-    by a row/column swap with a later nonzero diagonal, or failing that by
-    the symmetric combination row_i += row_j (which makes the pivot 2*a[i][j]
-    because all remaining diagonal entries are then zero).
+    Symmetric Bareiss elimination on sparse rows (see `_pivots`): the
+    t-th LDL^T pivot has the sign of d_t * d_{t-1}, where d_t is the t-th
+    fraction-free pivot and d_0 = 1; every index that yields no pivot is
+    a zero eigenvalue.
     """
     if not isinstance(m, SymIntMatrix):
         raise ValueError("inertia expects a SymIntMatrix")
-    a = [list(row) for row in m.entries]
-    n = len(a)
-    n_pos = n_neg = n_zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if piv is not None:
-                _swap_sym(a, k, piv)
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    n_zero += 1
-                    continue
-                _add_sym(a, k, j)
-        p = a[k][k]
-        if p > 0:
+    n_pos = n_neg = 0
+    prev = 1
+    for p in _pivots(m.entries):
+        if (p > 0) == (prev > 0):
             n_pos += 1
         else:
             n_neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k]
-            if f == 0:
-                continue
-            g = gcd(p, f)
-            c, s = p // g, f // g
-            if c < 0:
-                c, s = -c, -s
-            for j in range(k, n):
-                a[i][j] = c * a[i][j] - s * a[k][j]
-            for j in range(k, n):
-                a[j][i] = c * a[j][i] - s * a[j][k]
-    return InertiaTriple(n_pos, n_neg, n_zero)
+        prev = p
+    return InertiaTriple(n_pos, n_neg, m.n - n_pos - n_neg)
 
 
 def signature(m):

@@ -2,8 +2,10 @@
 
 Nothing here calls back into the package's signature code paths: eigenvalue
 sign counts come from the characteristic polynomial (sympy, exact) plus a
-hand-rolled Sturm chain over Fractions, and the torus correction term is
-recomputed one reduction rule at a time with no closed-form shortcuts.
+hand-rolled Sturm chain over Fractions, the package's former dense
+elimination is kept as a second inertia reference, and the torus correction
+term is recomputed one reduction rule at a time with no closed-form
+shortcuts.
 """
 
 import math
@@ -147,4 +149,65 @@ def inertia_by_charpoly(rows):
             pos, neg = sturm_root_counts(fc)
             n_pos += mult * pos
             n_neg += mult * neg
+    return (n_pos, n_neg, n_zero)
+
+
+def _swap_sym(a, i, j):
+    a[i], a[j] = a[j], a[i]
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_sym(a, i, j):
+    # row i += row j, then col i += col j; a[i][i] becomes 2*a[i][j] when
+    # both diagonals are zero.
+    n = len(a)
+    for t in range(n):
+        a[i][t] += a[j][t]
+    for t in range(n):
+        a[t][i] += a[t][j]
+
+
+def inertia_dense_reference(rows):
+    """(n_pos, n_neg, n_zero) of a symmetric integer matrix by dense
+    congruence diagonalization, the package's elimination before it became
+    fraction-free: rows are scaled by p/gcd(p, f) and never divided back,
+    so entries grow without bound, but every step is a plain congruence.
+
+    Zero diagonal pivots are repaired by a row/column swap with a later
+    nonzero diagonal, or failing that by the symmetric combination
+    row_i += row_j (which makes the pivot 2*a[i][j] because all remaining
+    diagonal entries are then zero).
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    n_pos = n_neg = n_zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if piv is not None:
+                _swap_sym(a, k, piv)
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    n_zero += 1
+                    continue
+                _add_sym(a, k, j)
+        p = a[k][k]
+        if p > 0:
+            n_pos += 1
+        else:
+            n_neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k]
+            if f == 0:
+                continue
+            g = math.gcd(p, f)
+            c, s = p // g, f // g
+            if c < 0:
+                c, s = -c, -s
+            for j in range(k, n):
+                a[i][j] = c * a[i][j] - s * a[k][j]
+            for j in range(k, n):
+                a[j][i] = c * a[j][i] - s * a[j][k]
     return (n_pos, n_neg, n_zero)

@@ -74,6 +74,17 @@ class TestValidation:
         with pytest.warns(GeometryWarning):
             KnotGeom(STEVEDORE, 3.0, 1.9)
 
+    def test_soft_warnings_name_the_caller(self):
+        import warnings as w
+
+        with w.catch_warnings(record=True) as caught:
+            w.simplefilter("always")
+            CuspShape(1.0, 7.0j)
+            KnotGeom(STEVEDORE, 1.5, 0.5)
+            KnotGeom(STEVEDORE, 3.0, 1.9)
+        assert [c.category for c in caught] == [GeometryWarning] * 3
+        assert {c.filename for c in caught} == {__file__}
+
     def test_trusted_flag_silences(self):
         import warnings as w
 

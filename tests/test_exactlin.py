@@ -1,9 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from knotsig.exactlin import InertiaTriple, SymIntMatrix, inertia, signature
+from knotsig import diagram, torus, twistfam
+from knotsig.exactlin import InertiaTriple, SymIntMatrix, _pivots, inertia, signature
 
-from oracles import inertia_by_charpoly
+from oracles import inertia_by_charpoly, inertia_dense_reference
 
 
 def test_diagonal_matrix():
@@ -128,3 +131,90 @@ def test_block_additivity(rows_a, rows_b):
 def test_agrees_with_sturm_oracle(rows):
     got = inertia(SymIntMatrix(rows))
     assert (got.n_pos, got.n_neg, got.n_zero) == inertia_by_charpoly(rows)
+
+
+@st.composite
+def sparse_sym(draw, max_dim=24, zero_diagonal=False, duplicate=False):
+    """A symmetric matrix with about three nonzeros per row; optionally with
+    every diagonal entry zero, or with one row/column copied onto another
+    (so the matrix is singular)."""
+    n = draw(st.integers(min_value=2 if duplicate else 0, max_value=max_dim))
+    rows = [[0] * n for _ in range(n)]
+    if n == 0:
+        return rows
+    index = st.integers(min_value=0, max_value=n - 1)
+    value = st.integers(min_value=-9, max_value=9)
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        i, j = draw(index), draw(index)
+        if i == j and zero_diagonal:
+            continue
+        rows[i][j] = rows[j][i] = draw(value)
+    if duplicate:
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        for t in range(n):
+            rows[j][t] = rows[t][j] = rows[i][t]
+        rows[j][j] = rows[i][j] = rows[j][i] = rows[i][i]
+    return rows
+
+
+SPARSE_KINDS = {
+    "sparse": {},
+    "zero-diagonal": {"zero_diagonal": True},
+    "rank-deficient": {"duplicate": True},
+}
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+@given(data=st.data())
+def test_agrees_with_dense_reference(kind, data):
+    rows = data.draw(sparse_sym(**SPARSE_KINDS[kind]))
+    got = inertia(SymIntMatrix(rows))
+    assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows)
+
+
+def _symmetrized(v):
+    return [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
+
+
+@pytest.fixture(scope="module")
+def knot_forms():
+    """Goeritz and V + V^T forms of T(5, 24) and of a 3-strand twist-family
+    row with 20 full twists (122 crossings, V + V^T of dimension 120)."""
+    forms = {}
+    row = twistfam.twist_insert(twistfam.TwistSpec((1, -2), ((1, 1, 3),)), (20,))
+    for name, d in [("T(5,24)", torus.torus_pd(5, 24)), ("twist row", row)]:
+        forms[name + " goeritz"] = diagram.checkerboard(d).matrix.entries
+        forms[name + " seifert"] = _symmetrized(diagram.seifert_matrix(d).matrix)
+    return forms
+
+
+def test_knot_forms_agree_with_dense_reference(knot_forms):
+    for name, rows in knot_forms.items():
+        got = inertia(SymIntMatrix(rows))
+        assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows), name
+
+
+def hadamard_bits(rows):
+    # a pivot is a minor of E A E^T, whose entries are sums of at most four
+    # entries of A; Hadamard bounds a minor by the product of its row norms
+    n = len(rows)
+    biggest = max((abs(x) for row in rows for x in row), default=0)
+    if biggest == 0:
+        return 0
+    return n * math.log2(4 * math.sqrt(n) * biggest) + 1
+
+
+def peak_pivot_bits(rows):
+    return max((abs(p).bit_length() for p in _pivots(rows)), default=0)
+
+
+def test_knot_form_pivots_within_hadamard_bound(knot_forms):
+    for name, rows in knot_forms.items():
+        assert peak_pivot_bits(rows) <= hadamard_bits(rows), name
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+@given(data=st.data())
+def test_pivots_within_hadamard_bound(kind, data):
+    rows = data.draw(sparse_sym(**SPARSE_KINDS[kind]))
+    assert peak_pivot_bits(rows) <= hadamard_bits(rows)
