@@ -10,7 +10,6 @@ from .torus import kappa
 # upper end of the admissible cutoff range for "short" geodesics
 EPSILON_3 = 0.775
 
-_TOL = 1e-9
 _TWO_PI = 2 * math.pi
 
 
@@ -65,25 +64,66 @@ def _validate_length(cl):
 
 def twisting_parameter(cl):
     """The (p, q) minimizing |cl*p + 2*pi*i*q| subject to the TwistParam
-    constraints, ties broken lexicographically.
+    constraints; among exactly equal norms, the least p, then the least q.
 
-    Exhaustive search: (0, 1) scores 2*pi, |cl*p + 2*pi*i*q| >= |p|*Re(cl)
-    bounds p, and for each p the imaginary part bounds q."""
+    cl.real, cl.imag and the float 2*pi are binary rationals, so over one
+    common denominator they are integers A, B, T and the squared norm of
+    (p, q) is the integer (p*A)**2 + (p*B + q*T)**2: every comparison is
+    exact. The admissible points (p even, q odd) form the coset
+    (0, 1) + 2Z^2 of (p, q) coefficients. Gauss-Lagrange reduction of the
+    basis (2, 0), (0, 2) under this norm gives a basis b1, b2 with b1
+    shortest, and the coset splits into lines (0, 1) + j*b2 + Z*b1. Lines
+    are scanned outward from the one nearest the origin, until a line's
+    distance alone exceeds the best norm; the norm is convex along a line,
+    so only the two integers around its minimum are tried. A non-coprime
+    candidate d*w (d odd, at least 3) never wins: w is admissible too and
+    shorter, so no gcd test is needed."""
     _validate_length(cl)
-    p_bound = math.ceil(_TWO_PI / cl.real)
-    p_bound += p_bound % 2
+    ratios = [x.as_integer_ratio() for x in (cl.real, cl.imag, _TWO_PI)]
+    den = math.lcm(*(d for _, d in ratios))
+    A, B, T = (n * (den // d) for n, d in ratios)
+    g11, g12, g22 = A * A + B * B, B * T, T * T
+
+    def dot(u, v):
+        return (u[0] * v[0] * g11 + (u[0] * v[1] + u[1] * v[0]) * g12
+                + u[1] * v[1] * g22)
+
+    b1, b2 = (2, 0), (0, 2)
+    n1, n2 = dot(b1, b1), dot(b2, b2)
+    while True:
+        if n2 < n1:
+            b1, b2, n1, n2 = b2, b1, n2, n1
+        k = _nearest(dot(b1, b2), n1)
+        if k == 0:
+            break
+        b2 = (b2[0] - k * b1[0], b2[1] - k * b1[1])
+        n2 = dot(b2, b2)
+    m12 = dot(b1, b2)
+    det = n1 * n2 - m12 * m12
+    # line j = {(0, 1) + j*b2 + i*b1}: its squared distance from the origin
+    # is (s + j*det)**2 / (n1*det)
+    x1, x2 = dot((0, 1), b1), dot((0, 1), b2)
+    s = x2 * n1 - m12 * x1
+    j0 = _nearest(-s, det)
     best = None
-    best_pq = None
-    for p in range(-p_bound, p_bound + 1, 2):
-        q_bound = math.ceil((abs(p) * math.pi + _TWO_PI) / _TWO_PI)
-        for q in range(1, q_bound + 1, 2):
-            if math.gcd(p, q) != 1:
-                continue
-            value = abs(cl * p + complex(0, _TWO_PI * q))
-            if best is None or value < best - _TOL:
-                best = value
-                best_pq = (p, q)
-    return TwistParam(*best_pq)
+    for j, step in ((j0, 1), (j0 - 1, -1)):
+        while best is None or (s + j * det) ** 2 <= best[0] * n1 * det:
+            # the norm along the line is least at i = -(x1 + j*m12) / n1
+            i0 = -(x1 + j * m12) // n1
+            for i in (i0, i0 + 1):
+                p, q = j * b2[0] + i * b1[0], 1 + j * b2[1] + i * b1[1]
+                if q < 0:
+                    p, q = -p, -q
+                key = ((p * A) ** 2 + (p * B + q * T) ** 2, p, q)
+                if best is None or key < best:
+                    best = key
+            j += step
+    return TwistParam(best[1], best[2])
+
+
+def _nearest(x, n):
+    """The integer nearest x/n (n > 0), halves rounded up."""
+    return (2 * x + n) // (2 * n)
 
 
 def tube_torus(cl, r):
@@ -98,25 +138,38 @@ def tube_torus(cl, r):
 
 def odd_geo_filter(geos, epsilon, margulis=EPSILON_3):
     """Geodesics of length below epsilon/2 with odd linking parity."""
+    return _short_odd(geos, epsilon, margulis)
+
+
+def corrected_slope_estimate(slope, geos, epsilon, margulis=EPSILON_3):
+    """slope/2 minus the twisting corrections of all short odd geodesics.
+
+    Each correction kappa(p, q) is an exact integer because p is even. A
+    tiny Re can make it too large for a float, which is a ValueError."""
+    correction = 0
+    for g in _short_odd(geos, epsilon, margulis):
+        tw = twisting_parameter(g.complex_length)
+        correction += kappa(tw.p, tw.q).as_integer()
+    try:
+        return slope / 2 - correction
+    except OverflowError:
+        raise ValueError(
+            "correction of %d bits is outside the float range"
+            % correction.bit_length()
+        ) from None
+
+
+def _short_odd(geos, epsilon, margulis):
+    # called only from the public functions above, so the warning names
+    # their caller
     if not 0 < epsilon < margulis:
         warnings.warn(
             "cutoff %g outside (0, %g); short-tube geometry is not guaranteed"
             % (epsilon, margulis),
-            stacklevel=2,
+            stacklevel=3,
         )
     return [
         g
         for g in geos
         if g.complex_length.real < epsilon / 2 and g.linking_parity == "odd"
     ]
-
-
-def corrected_slope_estimate(slope, geos, epsilon, margulis=EPSILON_3):
-    """slope/2 minus the twisting corrections of all short odd geodesics.
-
-    Each correction kappa(p, q) is an exact integer because p is even."""
-    correction = 0
-    for g in odd_geo_filter(geos, epsilon, margulis):
-        tw = twisting_parameter(g.complex_length)
-        correction += kappa(tw.p, tw.q).as_integer()
-    return slope / 2 - correction

@@ -3,9 +3,10 @@
 Nothing here calls back into the package's signature code paths: eigenvalue
 sign counts come from the characteristic polynomial (sympy, exact) plus a
 hand-rolled Sturm chain over Fractions, the package's former dense
-elimination is kept as a second inertia reference, and the torus correction
-term is recomputed one reduction rule at a time with no closed-form
-shortcuts.
+elimination is kept as a second inertia reference, the twisting parameter
+is found by a numpy grid scan and by an exact scan of lines of fixed q, and
+the torus correction term is recomputed one reduction rule at a time with
+no closed-form shortcuts.
 """
 
 import math
@@ -31,6 +32,42 @@ def brute_force_twisting(cl, tol=1e-9):
     values = np.where(valid, values, np.inf)
     ties = np.argwhere(values <= values.min() + tol)
     return min((int(ps[i]), int(qs[j])) for i, j in ties)
+
+
+class ExactLength:
+    """The exact values a, b, 2*pi of the floats cl.real, cl.imag and
+    2 * math.pi, for Fraction norms |cl*p + 2*pi*i*q|**2."""
+
+    def __init__(self, cl):
+        self.a, self.b = Fraction(cl.real), Fraction(cl.imag)
+        self.two_pi = Fraction(2 * math.pi)
+
+    def norm(self, p, q):
+        return (p * self.a) ** 2 + (p * self.b + q * self.two_pi) ** 2
+
+    def line_candidates(self, q):
+        """The two even p around the real minimizer -2*pi*q*b / (a**2 + b**2)
+        along the line of fixed q: the norm is a convex quadratic in p, so
+        one of them is least among even p."""
+        centre = -self.two_pi * q * self.b / (self.a ** 2 + self.b ** 2)
+        lo = 2 * math.floor(centre / 2)
+        return (lo, lo + 2)
+
+
+def line_scan_twisting(cl):
+    """Least (norm, p, q) over even p, odd q >= 1, gcd 1, with exact
+    Fraction norms. (0, 1) scores 2*pi, so a winner has |p| <= 2*pi/Re and
+    q <= 1 + pi/Re; each line of fixed odd q contributes the two even p
+    around its own minimum. Costs O(1/Re) lines."""
+    exact = ExactLength(cl)
+    best = None
+    for q in range(1, math.ceil(math.pi / cl.real) + 2, 2):
+        for p in exact.line_candidates(q):
+            if math.gcd(p, q) == 1:
+                key = (exact.norm(p, q), p, q)
+                if best is None or key < best:
+                    best = key
+    return best[1:]
 
 
 def plain_kappa(p, q, max_steps=10**7):

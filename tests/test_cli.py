@@ -94,6 +94,18 @@ class TestScalarCommands:
         assert rc == 0
         assert tuple(map(int, out.split())) == (t.p, t.q)
 
+    def test_tw_small_real_part_has_no_tie_band(self, capsys):
+        rc, out = run_cli(capsys, "tw", "--re", "1e-5", "--im", "0")
+        assert (rc, out) == (0, "0 1\n")
+
+    @pytest.mark.parametrize("re, im", [("5e-324", "0.1"), ("1e-300", "-2")])
+    def test_tw_any_positive_real_part(self, capsys, re, im):
+        rc, out = run_cli(capsys, "tw", "--re", re, "--im", im)
+        assert rc == 0
+        [line] = out.splitlines()
+        p, q = map(int, line.split())
+        assert p % 2 == 0 and q % 2 == 1
+
 
 class TestTorusCheck:
     def test_small_range_clean(self, capsys):
@@ -143,6 +155,14 @@ class TestGeodesicCommands:
         want = corrected_slope_estimate(-18.215, geos, 0.5)
         assert rc == 0
         assert float(out) == pytest.approx(want, abs=5e-5)
+
+    def test_correct_slope_tiny_real_part(self, capsys, tmp_path):
+        path = tmp_path / "geos.txt"
+        path.write_text("1e-12+0.1i:odd\n", encoding="utf-8")
+        rc, out = run_cli(capsys, "correct-slope", str(path), "--slope", "5", "--epsilon", "0.1")
+        want = corrected_slope_estimate(5.0, [GeodesicRecord(complex(1e-12, 0.1), "odd")], 0.1)
+        assert rc == 0
+        assert float(out) == want
 
 
 class TestTwistVerify:
@@ -263,6 +283,20 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
     def test_non_finite_value_is_1(self, capsys, args):
         rc = main(list(args))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_correction_beyond_float_range_is_1(self, capsys, tmp_path):
+        # Re = Im = 5e-324 twists with a 1,076-bit p, and its kappa
+        # correction does not fit in a float
+        path = tmp_path / "geos.txt"
+        path.write_text("5e-324+5e-324i:odd\n", encoding="utf-8")
+        rc = main([
+            "correct-slope", str(path), "--slope", "5", "--epsilon", "0.1",
+        ])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""

@@ -1,12 +1,15 @@
 """Geodesic-correction tests: the twisting minimizer against a widened
-brute-force grid, tube lattice formulas, and the corrected slope sum."""
+brute-force grid and an exact line scan, tube lattice formulas, and the
+corrected slope sum."""
 
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import brute_force_twisting
+from oracles import ExactLength, brute_force_twisting, line_scan_twisting
 from knotsig.geodesic import (
     EPSILON_3,
     GeodesicRecord,
@@ -113,6 +116,49 @@ class TestTwistingParameter:
             flipped = twisting_parameter(cl.conjugate())
             assert (flipped.p, flipped.q) == (-tw.p, tw.q), cl
 
+    @pytest.mark.parametrize("re", [5e-5, 1e-5, 1e-12])
+    def test_no_float_tie_band(self, re):
+        cl = complex(re, 0.0)
+        # |z| of (-2, 1) is within 1e-9 of |z| of (0, 1) = 2*pi here, so a
+        # float tie band of that width picks the lex-least point inside it,
+        # (-2, 1) at 5e-5 and (-10, 1) at 1e-5, though (0, 1) is shortest
+        assert abs(cl * -2 + 2j * math.pi) - 2 * math.pi < 1e-9
+        assert twisting_parameter(cl) == TwistParam(0, 1)
+
+    def test_matches_line_scan(self):
+        rng = random.Random(10)
+        for k in range(60):
+            re = math.exp(rng.uniform(math.log(1e-3), math.log(0.05)))
+            im = (0.0, math.pi)[k % 2] if k % 10 < 2 else rng.uniform(-math.pi, math.pi)
+            cl = complex(re, im)
+            tw = twisting_parameter(cl)
+            assert (tw.p, tw.q) == line_scan_twisting(cl), cl
+
+    def test_tiny_real_part_is_fast(self):
+        start = time.perf_counter()
+        tw = twisting_parameter(complex(1e-12, 0.1))
+        assert time.perf_counter() - start < 0.1
+        assert kappa(tw.p, tw.q).is_integer
+
+    @given(
+        st.floats(min_value=1e-300, max_value=2.5),
+        st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True),
+    )
+    def test_exact_minimum_on_neighbouring_lines(self, re, im):
+        cl = complex(re, im)
+        tw = twisting_parameter(cl)
+        assert tw.p % 2 == 0 and tw.q % 2 == 1 and tw.q >= 1
+        assert math.gcd(tw.p, tw.q) == 1
+        exact = ExactLength(cl)
+        found = (exact.norm(tw.p, tw.q), tw.p, tw.q)
+        for q in (tw.q - 2, tw.q, tw.q + 2):
+            if q >= 1:
+                for p in exact.line_candidates(q):
+                    assert (exact.norm(p, q), p, q) >= found, (p, q)
+        if im not in (0.0, math.pi):
+            flipped = twisting_parameter(cl.conjugate())
+            assert (flipped.p, flipped.q) == (-tw.p, tw.q)
+
 
 class TestTubeTorus:
     def test_unit_sinh(self):
@@ -156,6 +202,16 @@ class TestOddGeoFilter:
             odd_geo_filter([SHORT_ODD], 0.0)
         assert 0 < 0.7 < EPSILON_3  # the happy path used above is in range
 
+    def test_cutoff_warning_names_the_caller(self):
+        import warnings as w
+
+        with w.catch_warnings(record=True) as caught:
+            w.simplefilter("always")
+            odd_geo_filter([SHORT_ODD], 0.9)
+            corrected_slope_estimate(5.0, [SHORT_ODD], 0.9)
+        assert [c.category for c in caught] == [UserWarning] * 2
+        assert {c.filename for c in caught} == {__file__}
+
 
 class TestCorrectedSlope:
     def test_empty_sum(self):
@@ -172,3 +228,8 @@ class TestCorrectedSlope:
         geo = GeodesicRecord(complex(0.2, math.pi), "odd")
         assert kappa(-2, 1).as_integer() == 1
         assert corrected_slope_estimate(5.0, [geo], 0.7) == 1.5
+
+    def test_correction_beyond_float_range(self):
+        geo = GeodesicRecord(complex(5e-324, 5e-324), "odd")
+        with pytest.raises(ValueError, match="float range"):
+            corrected_slope_estimate(5.0, [geo], 0.7)
