@@ -18,7 +18,7 @@ import json
 import math
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cusp import (
@@ -70,20 +70,17 @@ class CensusRow:
     longitude: float
     geodesics: tuple = ()
     pd: DiagramCode | None = None
+    geom: KnotGeom = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "geodesics", tuple(self.geodesics))
         if self.crossings < 3:
             raise ValueError("crossing number must be at least 3")
-        self.geom(trusted=False)  # hard errors raise, soft checks warn once
-
-    def cusp(self, trusted=True):
-        return CuspShape(self.longitude, self.meridian, trusted=trusted)
-
-    def geom(self, trusted=True):
-        return KnotGeom(
-            self.cusp(trusted), self.volume, self.inj, self.sigma, trusted=trusted
+        # built once: hard errors raise, soft checks warn once per row
+        geom = KnotGeom(
+            CuspShape(self.longitude, self.meridian), self.volume, self.inj, self.sigma
         )
+        object.__setattr__(self, "geom", geom)
 
 
 def _fmt_complex(z):
@@ -252,7 +249,7 @@ def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
 
 
 def _derive_row(row):
-    g = row.geom()
+    g = row.geom
     slope = natural_slope(g.cusp)
     gap = 2 * row.sigma - slope
     return DerivedRow(

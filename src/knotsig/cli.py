@@ -58,10 +58,11 @@ def _cmd_bounds(args):
     g = _geom_from_args(args)
     slope = natural_slope(g.cusp)
     c1 = args.c1 if args.c1 is not None else c1_statistic(g)
+    g4 = g4_lower_bound(g, c1)  # checks c1 before anything is printed
     print("slope %.4f" % slope)
     print("genus_lb %.4f" % genus_lower_bound(slope))
     print("genus_lb_int %d" % genus_lower_bound(slope, integer=True))
-    print("g4_lb %.4f" % g4_lower_bound(g, c1))
+    print("g4_lb %.4f" % g4)
     print("c1 %.4f" % c1)
 
 

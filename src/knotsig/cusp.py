@@ -7,7 +7,7 @@ tests use 1e-3 because published values carry 4-5 digits.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import warnings
 
@@ -43,7 +43,6 @@ class CuspShape:
 
     longitude: float
     meridian: complex
-    trusted: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.longitude < math.inf:
@@ -54,14 +53,13 @@ class CuspShape:
             raise ValueError(
                 "meridian must be finite with Im > 0, got %r" % self.meridian
             )
-        if not self.trusted:
-            lo, hi = MERIDIAN_RANGE
-            if not lo - _TOL <= abs(self.meridian) <= hi + _TOL:
-                warnings.warn(
-                    "|meridian| = %.4f outside [%g, %g]" % (abs(self.meridian), lo, hi),
-                    GeometryWarning,
-                    stacklevel=3,
-                )
+        lo, hi = MERIDIAN_RANGE
+        if not lo - _TOL <= abs(self.meridian) <= hi + _TOL:
+            warnings.warn(
+                "|meridian| = %.4f outside [%g, %g]" % (abs(self.meridian), lo, hi),
+                GeometryWarning,
+                stacklevel=3,
+            )
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,6 @@ class KnotGeom:
     volume: float
     inj: float
     sigma: int | None = None
-    trusted: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.volume < math.inf:
@@ -82,21 +79,28 @@ class KnotGeom:
             raise ValueError(
                 "injectivity radius must be positive and finite, got %r" % self.inj
             )
-        if self.sigma is not None and self.sigma % 2:
-            raise ValueError("signature must be even, got %r" % self.sigma)
-        if not self.trusted:
-            if self.volume <= MIN_VOLUME:
-                warnings.warn(
-                    "volume %.4f not above %.4f" % (self.volume, MIN_VOLUME),
-                    GeometryWarning,
-                    stacklevel=3,
-                )
-            if self.inj > MAX_INJ:
-                warnings.warn(
-                    "injectivity radius %.4f above %.2f" % (self.inj, MAX_INJ),
-                    GeometryWarning,
-                    stacklevel=3,
-                )
+        if self.sigma is not None:
+            if self.sigma % 2:
+                raise ValueError("signature must be even, got %r" % self.sigma)
+            try:
+                float(self.sigma)
+            except OverflowError:
+                raise ValueError(
+                    "signature of %d bits is outside the float range"
+                    % self.sigma.bit_length()
+                ) from None
+        if self.volume <= MIN_VOLUME:
+            warnings.warn(
+                "volume %.4f not above %.4f" % (self.volume, MIN_VOLUME),
+                GeometryWarning,
+                stacklevel=3,
+            )
+        if self.inj > MAX_INJ:
+            warnings.warn(
+                "injectivity radius %.4f above %.2f" % (self.inj, MAX_INJ),
+                GeometryWarning,
+                stacklevel=3,
+            )
 
     def _require_sigma(self):
         if self.sigma is None:
@@ -120,7 +124,13 @@ def slope_length(c, p, q):
     curve on the cusp torus."""
     if p == 0 and q == 0:
         raise ValueError("(0, 0) is not a slope")
-    return abs(p * c.longitude + q * c.meridian)
+    try:
+        length = abs(p * c.longitude + q * c.meridian)
+    except OverflowError:
+        length = math.inf
+    if not math.isfinite(length):
+        raise ValueError("length of the slope is outside the float range")
+    return length
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,7 @@ def surgery_hyperbolic_certificate(g, p, q, c1):
     the exceptional bound, or q/p sits outside the slope window widened by
     the c1 error term. The boundary counts as uncertified."""
     sigma = g._require_sigma()
+    _require_finite_c1(c1)
     if p == 0:
         raise ValueError("p must be nonzero")
     if math.gcd(p, q) != 1:
@@ -179,8 +190,14 @@ def g4_lower_bound(g, c1):
     """Topological 4-genus lower bound |slope|/4 - (c1/4) * vol / inj^3.
 
     May be negative; callers clamp at zero when quoting it as a genus."""
+    _require_finite_c1(c1)
     slope = natural_slope(g.cusp)
     return abs(slope) / 4 - (c1 / 4) * g.volume / g.inj**3
+
+
+def _require_finite_c1(c1):
+    if not math.isfinite(c1):
+        raise ValueError("c1 must be finite, got %r" % c1)
 
 
 def c1_statistic(g, residual_only=False):

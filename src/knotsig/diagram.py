@@ -16,9 +16,9 @@ Conventions, fixed once for the whole package:
 A code is walked and validated once, by `_Geometry`, when
 `DiagramCode.from_tuples` builds it; the geometry stays on the code and
 both pipelines read it from there. The geometry holds the walk, the faces
-and the Seifert circles; `checkerboard` colours the faces and
-`braided_path` joins them into regions, each for itself. Each Vogel move
-builds one new geometry.
+and the Seifert circles; `checkerboard` colours the faces for itself, and
+`braided_path` reads the circle order off the Seifert graph. Each Vogel
+move builds one new geometry.
 """
 
 import heapq
@@ -173,7 +173,8 @@ class _Geometry:
     the rotation system and the circles of the oriented smoothing. Built
     once per code, by `from_tuples`, and once per Vogel move; the walk and
     the face count raise a `ValueError` subclass when the tuples are not a
-    planar knot diagram."""
+    planar knot diagram. The circles and the crossings alone give the
+    circle order of a braided diagram (`braided_path`)."""
 
     def __init__(self, tuples):
         self.n = len(tuples)
@@ -290,75 +291,36 @@ class _Geometry:
         self.circle_of = circle_of
 
     def braided_path(self):
-        """Circle and region order of a coherent diagram: the incidence
-        path r0, c0, r1, c1, ..., or None when the diagram is not braided.
-        The regions are the faces of the smoothing, each a union of faces
-        of the diagram. Returns (circle_order, region_order, region_of),
-        where region_of maps each face to its region."""
-        parent = list(range(len(self.faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c, sg in enumerate(self.signs):
-            if sg > 0:
-                a, b = self.corner(c, 1), self.corner(c, 3)
-            else:
-                a, b = self.corner(c, 0), self.corner(c, 2)
-            parent[find(a)] = find(b)
-        region_of = [find(f) for f in range(len(self.faces))]
-        # s disjoint circles cut the sphere into s + 1 regions, and every
-        # circle has one region on each side, so these checks can fail
-        # only through a fault of this module
-        if len(set(region_of)) != len(self.circles) + 1:
-            raise RuntimeError(
-                "smoothing produced %d regions for %d circles"
-                % (len(set(region_of)), len(self.circles))
-            )
-        # the region right of an arc is the face at its head incidence,
-        # the left one is the face at its tail incidence
-        side = []  # per circle: (left_region, right_region)
-        touches = defaultdict(list)  # region -> [(circle, side)]
-        for k, cyc in enumerate(self.circles):
-            lefts = {region_of[self.face_of[self.tail[e]]] for e in cyc}
-            rights = {region_of[self.face_of[self.head[e]]] for e in cyc}
-            if len(lefts) != 1 or len(rights) != 1:
-                raise RuntimeError("smoothed circle borders inconsistent regions")
-            left, right = lefts.pop(), rights.pop()
-            if left == right:
-                raise RuntimeError("smoothed circle borders one region twice")
-            side.append((left, right))
-            touches[left].append((k, 0))
-            touches[right].append((k, 1))
-
-        deg1 = [r for r, inc in touches.items() if len(inc) == 1]
-        if any(len(inc) > 2 for inc in touches.values()):
-            return None
-        if len(deg1) != 2:
-            return None
-        for inc in touches.values():
-            if len(inc) == 2 and inc[0][1] == inc[1][1]:
-                return None
-        start = min(deg1)
-        circle_order = []
-        region_order = [start]
-        region, seen = start, set()
-        while True:
-            nxt = [k for k, _ in touches[region] if k not in seen]
-            if not nxt:
+        """Circle order of a braided diagram, read off its Seifert graph
+        (circles as vertices, crossings as edges), which is then a path.
+        The walk starts at the end whose outside face, the one face whose
+        arcs all lie on that circle, comes first in face order. Only a
+        diagram without a defect is asked, so a failed check here is a
+        fault of this module."""
+        nbrs = defaultdict(set)
+        for c, t in enumerate(self.tuples):
+            ks = {self.circle_of[e] for e in t}
+            if len(ks) != 2:
+                raise RuntimeError("crossing %d does not join two circles" % c)
+            k1, k2 = ks
+            nbrs[k1].add(k2)
+            nbrs[k2].add(k1)
+        outside = []
+        for orbit in self.faces:
+            ks = {self.circle_of[self.tuples[c][s]] for c, s in orbit}
+            if len(ks) == 1:
+                outside.extend(ks)
+        if len(outside) != 2:
+            raise RuntimeError("%d faces lie on one circle, need 2" % len(outside))
+        order = [outside[0]]
+        while len(order) < len(self.circles):
+            step = nbrs[order[-1]].difference(order[-2:])
+            if len(step) != 1:
                 break
-            k = nxt[0]
-            seen.add(k)
-            circle_order.append(k)
-            left, right = side[k]
-            region = right if region == left else left
-            region_order.append(region)
-        if len(circle_order) != len(self.circles):
-            return None
-        return circle_order, region_order, region_of
+            order.extend(step)
+        if len(set(order)) != len(self.circles) or order[-1] != outside[1]:
+            raise RuntimeError("Seifert graph is not a path between the outside faces")
+        return order
 
     def defect(self):
         """Two arcs of one face, on distinct circles, with the face on the
@@ -478,27 +440,21 @@ def braid_word(d):
             raise RuntimeError("coherence move changed the circle count")
     else:
         raise RuntimeError("coherence moves did not terminate")
-    path = geom.braided_path()
-    if path is None:
-        raise RuntimeError("diagram without a defect is not braided")
-    order, regions, region_of = path
+    order = geom.braided_path()
     pos = {k: i + 1 for i, k in enumerate(order)}
 
     # seam: one arc per circle, consecutive seam arcs bordering a shared
-    # face, so cutting along them unrolls the diagram into an open braid
+    # face, so cutting along them unrolls the diagram into an open braid;
+    # of the two faces beside a seam arc only the one toward the next
+    # circle has arcs on it
     seam = [min(geom.circles[order[0]])]
-    for i in range(len(order) - 1):
+    for k in order[1:]:
         e = seam[-1]
-        between = regions[i + 1]  # region between circles order[i], order[i+1]
-        head_face = geom.face_of[geom.head[e]]
-        tail_face = geom.face_of[geom.tail[e]]
-        face = head_face if region_of[head_face] == between else tail_face
-        if region_of[face] != between:
-            raise RuntimeError("seam face lookup failed")
         candidates = [
             geom.tuples[c][s]
-            for (c, s) in geom.faces[face]
-            if geom.circle_of[geom.tuples[c][s]] == order[i + 1]
+            for f in (geom.face_of[geom.head[e]], geom.face_of[geom.tail[e]])
+            for (c, s) in geom.faces[f]
+            if geom.circle_of[geom.tuples[c][s]] == k
         ]
         if not candidates:
             raise RuntimeError("seam cannot reach the next circle")

@@ -146,6 +146,8 @@ def corrected_slope_estimate(slope, geos, epsilon, margulis=EPSILON_3):
 
     Each correction kappa(p, q) is an exact integer because p is even. A
     tiny Re can make it too large for a float, which is a ValueError."""
+    if not math.isfinite(slope):
+        raise ValueError("slope must be finite, got %r" % slope)
     correction = 0
     for g in _short_odd(geos, epsilon, margulis):
         tw = twisting_parameter(g.complex_length)
@@ -162,6 +164,10 @@ def corrected_slope_estimate(slope, geos, epsilon, margulis=EPSILON_3):
 def _short_odd(geos, epsilon, margulis):
     # called only from the public functions above, so the warning names
     # their caller
+    if not (math.isfinite(epsilon) and math.isfinite(margulis)):
+        raise ValueError(
+            "cutoff %r and margulis constant %r must be finite" % (epsilon, margulis)
+        )
     if not 0 < epsilon < margulis:
         warnings.warn(
             "cutoff %g outside (0, %g); short-tube geometry is not guaranteed"

@@ -150,19 +150,37 @@ def parse_braid_text(text):
         raise ValueError("bad braid word %r" % text) from None
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x):
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
 def load_spec(path):
     """Read a TwistSpec (and optional list of twist vectors) from a JSON
     file: {"base_braid": [1,1,1] or "1,1,1", "regions": [[pos,start,count]],
-    "strands": optional, "q_vectors": optional}."""
+    "strands": optional, "q_vectors": optional}. A file of any other shape
+    raises a ValueError that names the field."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    word = raw["base_braid"]
+    if not isinstance(raw, dict):
+        raise ValueError("spec must be a JSON object")
+    word = raw.get("base_braid")
     if isinstance(word, str):
         word = parse_braid_text(word)
-    spec = TwistSpec(
-        tuple(word),
-        tuple(tuple(r) for r in raw.get("regions", ())),
-        raw.get("strands"),
-    )
-    q_vectors = [tuple(qv) for qv in raw.get("q_vectors", [])]
-    return spec, q_vectors
+    elif not _is_int_list(word):
+        raise ValueError("base_braid must be a list of integers or a string")
+    regions = raw.get("regions", [])
+    if not (isinstance(regions, list)
+            and all(_is_int_list(r) and len(r) == 3 for r in regions)):
+        raise ValueError("each regions entry must be three integers")
+    strands = raw.get("strands")
+    if strands is not None and not _is_int(strands):
+        raise ValueError("strands must be an integer or null")
+    q_vectors = raw.get("q_vectors", [])
+    if not (isinstance(q_vectors, list) and all(_is_int_list(qv) for qv in q_vectors)):
+        raise ValueError("q_vectors must be lists of integers")
+    spec = TwistSpec(tuple(word), tuple(tuple(r) for r in regions), strands)
+    return spec, [tuple(qv) for qv in q_vectors]

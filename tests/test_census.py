@@ -42,8 +42,8 @@ class TestIngest:
         assert set(by_name) == {"6_1", "12a52", "12n242"}
         from knotsig.cusp import natural_slope
 
-        assert natural_slope(by_name["6_1"].cusp()) == pytest.approx(1.8267, abs=1e-3)
-        assert natural_slope(by_name["12a52"].cusp()) == pytest.approx(
+        assert natural_slope(by_name["6_1"].geom.cusp) == pytest.approx(1.8267, abs=1e-3)
+        assert natural_slope(by_name["12a52"].geom.cusp) == pytest.approx(
             -18.6064, abs=1e-3
         )
 

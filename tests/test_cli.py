@@ -315,6 +315,79 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ('{"regions": []}', "base_braid"),
+            ("[[1, 1, 1]]", "object"),
+            ('{"base_braid": [1, 1, 1], "regions": [5]}', "regions"),
+            ('{"base_braid": 7}', "base_braid"),
+            ('{"base_braid": [1.5, 1, 1]}', "base_braid"),
+            ('{"base_braid": [1, 1, 1], "strands": "3"}', "strands"),
+            ('{"base_braid": [1, 1, 1], "q_vectors": 5}', "q_vectors"),
+            ('{"base_braid": [1, 1, 1], "q_vectors": [["a"]]}', "q_vectors"),
+            ('{"base_braid": [1, 1, 1], "q_vectors": [[1.5]]}', "q_vectors"),
+        ],
+        ids=["no-base-braid", "top-level-list", "region-not-triple",
+             "base-braid-int", "base-braid-float", "strands-string",
+             "q-vectors-int", "q-vector-string", "q-vector-float"],
+    )
+    def test_malformed_twist_spec_is_1(self, capsys, tmp_path, spec, field):
+        path = tmp_path / "fam.json"
+        path.write_text(spec, encoding="utf-8")
+        rc = main(["twist-verify", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert field in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bounds", "--longitude", "4", "--meridian", "0.7237+1.0160i",
+             "--volume", "3.16", "--inj", "0.55", "--sigma", str(10**400)),
+            ("siglen", "--longitude", "1", "--meridian", "1+1i", "1", str(10**400)),
+            ("siglen", "--longitude", "1e300", "--meridian", "1+1i", "10000000000", "1"),
+            ("bounds", "--longitude", "4", "--meridian", "0.7237+1.0160i",
+             "--volume", "3.16", "--inj", "0.55", "--sigma", "0", "--c1", "nan"),
+            ("bounds", "--longitude", "4", "--meridian", "0.7237+1.0160i",
+             "--volume", "3.16", "--inj", "0.55", "--sigma", "0", "--c1", "inf"),
+            ("correct-slope", "--slope", "nan", "--epsilon", "0.1"),
+            ("correct-slope", "--slope", "inf", "--epsilon", "0.1"),
+            ("correct-slope", "--slope", "5", "--epsilon", "nan"),
+            ("correct-slope", "--slope", "5", "--epsilon", "inf"),
+            ("correct-slope", "--slope", "5", "--epsilon", "0.1", "--margulis", "nan"),
+        ],
+        ids=["bounds-huge-sigma", "siglen-huge-q", "siglen-inf-length",
+             "bounds-c1-nan", "bounds-c1-inf", "slope-nan", "slope-inf",
+             "epsilon-nan", "epsilon-inf", "margulis-nan"],
+    )
+    def test_outside_float_range_is_1(self, capsys, tmp_path, args):
+        path = tmp_path / "geos.txt"
+        path.write_text("0.5+1i:odd\n", encoding="utf-8")
+        if args[0] == "correct-slope":
+            args = (args[0], str(path)) + args[1:]
+        rc = main(list(args))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_census_signature_outside_float_range_is_1(self, capsys, tmp_path):
+        header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
+        row = "A,5,%d,4.0,0.5,0.8,1.0,5.0,," % 10**400
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join([header, row]) + "\n", encoding="utf-8")
+        rc = main(["census-stats", str(path), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s line 2:" % path)
+        assert captured.err.count("\n") == 1
+
     def test_internal_error_is_3(self, capsys, tmp_path, monkeypatch):
         def broken(d):
             raise RuntimeError("coherence moves did not terminate")

@@ -31,7 +31,7 @@ K12A52 = CuspShape(27.7228, complex(-1.2838, 0.5145))
 
 
 def geom(cusp, volume=5.0, inj=0.5, sigma=None):
-    return KnotGeom(cusp, volume, inj, sigma, trusted=True)
+    return KnotGeom(cusp, volume, inj, sigma)
 
 
 class TestValidation:
@@ -85,14 +85,6 @@ class TestValidation:
         assert [c.category for c in caught] == [GeometryWarning] * 3
         assert {c.filename for c in caught} == {__file__}
 
-    def test_trusted_flag_silences(self):
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("error")
-            CuspShape(1.0, 0.5j, trusted=True)
-            KnotGeom(STEVEDORE, 1.5, 1.9, trusted=True)
-
     def test_fixture_shapes_are_clean(self):
         import warnings as w
 
@@ -114,9 +106,10 @@ class TestNaturalSlope:
         "longitude, meridian",
         [(1.0, complex(1e-170, 1e-170)), (1e300, complex(1e-10, 1e-10))],
     )
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
     def test_underflow_and_overflow_rejected(self, longitude, meridian):
         with pytest.raises(ValueError):
-            natural_slope(CuspShape(longitude, meridian, trusted=True))
+            natural_slope(CuspShape(longitude, meridian))
 
     @given(
         st.floats(0.5, 30.0),
@@ -124,10 +117,11 @@ class TestNaturalSlope:
         st.floats(0.3, 3.0),
         st.floats(0.1, 5.0),
     )
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
     def test_linear_in_longitude_odd_in_meridian_re(self, lam, re, im, scale):
-        c = CuspShape(lam, complex(re, im), trusted=True)
-        scaled = CuspShape(lam * scale, complex(re, im), trusted=True)
-        flipped = CuspShape(lam, complex(-re, im), trusted=True)
+        c = CuspShape(lam, complex(re, im))
+        scaled = CuspShape(lam * scale, complex(re, im))
+        flipped = CuspShape(lam, complex(-re, im))
         s = natural_slope(c)
         assert natural_slope(scaled) == pytest.approx(scale * s, rel=1e-9, abs=1e-12)
         assert natural_slope(flipped) == pytest.approx(-s, rel=1e-9, abs=1e-12)
@@ -149,6 +143,7 @@ class TestSlopeLength:
         st.integers(-20, 20),
         st.integers(-20, 20),
     )
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
     def test_length_dominates_slope_residual(self, lam, re, im, p, q):
         # exact form of the length lower bound, over rationals; needs a
         # meridian of length >= 1 like every knot cusp
@@ -159,7 +154,7 @@ class TestSlopeLength:
         rhs_sq = (p * slope + q) ** 2
         assert lhs_sq >= rhs_sq
         # and the floating implementation agrees with the exact value
-        c = CuspShape(float(lam), complex(float(re), float(im)), trusted=True)
+        c = CuspShape(float(lam), complex(float(re), float(im)))
         assert slope_length(c, p, q) == pytest.approx(math.sqrt(float(lhs_sq)))
 
 

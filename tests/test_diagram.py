@@ -219,6 +219,19 @@ class TestSeifert:
             2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 1, 2,
         ]
         assert sum(len(diagram.braid_word(d)) for d in corpus.values()) == 781
+        # a kink adds a circle and moves the seam; the kinked word and these
+        # totals change when the path is walked from its other end or the
+        # seam takes another arc
+        assert diagram.braid_word(insert_kink(corpus["b(9,2)"], 1)) == [
+            -1, -2, -4, 3, -2, 1, 5, -4, 3, -2, 4, 3, -5, 4, 3, 2, 3,
+        ]
+        for make, total in (
+            (mirror_diagram, 781),
+            (lambda d: insert_kink(d, 1), 991),
+            (lambda d: insert_kink(d, -1), 1081),
+        ):
+            words = [diagram.braid_word(make(d)) for d in corpus.values()]
+            assert sum(len(w) for w in words) == total
 
     def test_kink_then_unknot_word(self):
         d = insert_kink(DiagramCode.from_tuples([]), sign=1)
