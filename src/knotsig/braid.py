@@ -38,8 +38,12 @@ def word_permutation(word, strands=None):
 
 
 def closure_is_knot(word, strands=None):
-    """True when the trace closure has a single component."""
+    """True when the trace closure has a single component. A cycle on
+    k strands needs at least k - 1 transpositions, so a word shorter
+    than strands - 1 is rejected before any per-strand list is built."""
     strands = strands or word_strands(word)
+    if strands > len(word) + 1:
+        return False
     perm = word_permutation(word, strands)
     seen, i = set(), 0
     while i not in seen:

@@ -173,7 +173,7 @@ def surgery_hyperbolic_certificate(g, p, q, c1):
     if abs(p) > MAX_EXCEPTIONAL_P:
         return True
     lhs = abs(q / p + 2 * sigma)
-    rhs = 6 / abs(p) + c1 * g.volume / g.inj**3
+    rhs = 6 / abs(p) + c1 * g.volume / _inj_cubed(g)
     return lhs > rhs + _TOL
 
 
@@ -192,12 +192,34 @@ def g4_lower_bound(g, c1):
     May be negative; callers clamp at zero when quoting it as a genus."""
     _require_finite_c1(c1)
     slope = natural_slope(g.cusp)
-    return abs(slope) / 4 - (c1 / 4) * g.volume / g.inj**3
+    bound = abs(slope) / 4 - (c1 / 4) * g.volume / _inj_cubed(g)
+    return _require_finite(bound, "4-genus bound", g)
 
 
 def _require_finite_c1(c1):
     if not math.isfinite(c1):
         raise ValueError("c1 must be finite, got %r" % c1)
+
+
+def _require_finite(value, what, g):
+    if not math.isfinite(value):
+        raise ValueError(
+            "%s is outside the float range (volume %r, injectivity radius %r)"
+            % (what, g.volume, g.inj)
+        )
+    return value
+
+
+def _inj_cubed(g):
+    try:
+        cube = g.inj**3
+    except OverflowError:
+        cube = math.inf
+    if not 0 < cube < math.inf:
+        raise ValueError(
+            "injectivity radius %r cubed is outside the float range" % g.inj
+        )
+    return cube
 
 
 def c1_statistic(g, residual_only=False):
@@ -207,7 +229,8 @@ def c1_statistic(g, residual_only=False):
     residual = abs(2 * sigma - natural_slope(g.cusp))
     if residual_only:
         return residual
-    return residual * g.inj**3 / g.volume
+    c1 = residual * _inj_cubed(g) / g.volume
+    return _require_finite(c1, "c1 statistic", g)
 
 
 def normalized_signature(g):

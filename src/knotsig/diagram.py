@@ -23,8 +23,9 @@ move builds one new geometry.
 
 import heapq
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 
 from .braid import (
     closure_is_knot,
@@ -232,7 +233,8 @@ class _Geometry:
     def _faces(self):
         # a directed arc is named by the incidence (crossing, slot) it
         # arrives at; the face traversal exits at the next slot
-        # counterclockwise, keeping one fixed side of the arc
+        # counterclockwise, keeping one fixed side of the arc, so
+        # face_of[c, k] is the face at the corner between slots k and k+1
         self.face_of = {}
         self.faces = []
         for c0 in range(self.n):
@@ -255,10 +257,6 @@ class _Geometry:
                 "rotation system has %d faces, need %d: not a planar knot diagram"
                 % (len(self.faces), self.n + 2)
             )
-
-    def corner(self, c, k):
-        """Face at the corner between slots k and k+1 of crossing c."""
-        return self.face_of[(c, k)]
 
     def _circles(self):
         # oriented smoothing: each arc's successor around its Seifert circle
@@ -342,7 +340,10 @@ class _Geometry:
 
 
 def checkerboard(d):
-    """Goeritz matrix of the white surface plus the type-II correction."""
+    """Goeritz form of the white surface, less the outer face's row and
+    column, plus the type-II correction. The form is accumulated as rows
+    of nonzeros, crossing by crossing; each diagonal entry is minus the
+    sum of the rest of its row in the unreduced form."""
     g = _geometry(d)
     if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
@@ -351,16 +352,16 @@ def checkerboard(d):
     # leaves some crossing without a diagonal white pair
     colour = [0] * len(g.faces)
     for i, (c, s) in enumerate(g.head.values()):
-        colour[g.corner(c, (s - 1) % 4)] = i % 2
-        colour[g.corner(c, s)] = 1 - i % 2
-    outer = g.corner(0, 0)
+        colour[g.face_of[c, (s - 1) % 4]] = i % 2
+        colour[g.face_of[c, s]] = 1 - i % 2
+    outer = g.face_of[0, 0]
     white = colour[outer]
-    whites = [f for f in range(len(g.faces)) if colour[f] == white]
+    whites = [f for f in range(len(g.faces)) if colour[f] == white and f != outer]
     windex = {f: i for i, f in enumerate(whites)}
-    m = [[0] * len(whites) for _ in whites]
+    off = defaultdict(Counter)
     correction = 0
     for c in range(d.n):
-        corners = [g.corner(c, k) for k in range(4)]
+        corners = [g.face_of[c, k] for k in range(4)]
         ks = [k for k in range(4) if colour[corners[k]] == white]
         if ks == [0, 2]:
             orient = 1
@@ -373,19 +374,16 @@ def checkerboard(d):
         # other sign convention fails the cross-pipeline test battery
         if g.signs[c] == orient:
             correction -= orient
-        wi, wj = windex[corners[ks[0]]], windex[corners[ks[1]]]
-        if wi != wj:
-            m[wi][wj] -= orient
-            m[wj][wi] -= orient
-    for i in range(len(whites)):
-        m[i][i] = -sum(m[i][j] for j in range(len(whites)) if j != i)
-    drop = windex[outer]
-    reduced = [
-        [m[i][j] for j in range(len(whites)) if j != drop]
-        for i in range(len(whites))
-        if i != drop
-    ]
-    return GoeritzData(SymIntMatrix(reduced), correction)
+        fi, fj = corners[ks[0]], corners[ks[1]]
+        if fi != fj:
+            off[fi][fj] -= orient
+            off[fj][fi] -= orient
+    rows = []
+    for f in whites:
+        row = {windex[h]: x for h, x in off[f].items() if h != outer}
+        row[windex[f]] = -sum(off[f].values())
+        rows.append(row)
+    return GoeritzData(SymIntMatrix.from_nonzeros(len(whites), rows), correction)
 
 
 def gl_signature(d):
@@ -515,8 +513,12 @@ def seifert_matrix(d):
 def seifert_signature(d):
     """Knot signature as the signature of V + V^T."""
     v = seifert_matrix(d).matrix
-    sym = [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
-    return signature(SymIntMatrix(sym))
+    sym = [defaultdict(int) for _ in v]
+    for i, row in enumerate(v):
+        for j in compress(range(len(row)), row):
+            sym[i][j] += row[j]
+            sym[j][i] += row[j]
+    return signature(SymIntMatrix.from_nonzeros(len(v), sym))
 
 
 def mirror_diagram(d):

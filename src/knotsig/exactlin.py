@@ -1,8 +1,11 @@
 """Exact inertia of symmetric integer matrices by fraction-free elimination.
 
+A `SymIntMatrix` is stored as rows of nonzeros, checked in O(nnz); a dense
+tuple of tuples is only a conversion at the public boundary.
+
 `inertia` runs a symmetric Bareiss elimination (E. H. Bareiss, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
-22 (1968)) on sparse rows.  Every step is a congruence A -> E A E^T with
+22 (1968)) on the stored rows.  Every step is a congruence A -> E A E^T with
 det(E) != 0, so by Sylvester's law of inertia the signs of the LDL^T pivots
 it reads off are the eigenvalue signs of the input.  All arithmetic is over
 unbounded Python integers, and every stored number is a minor of the input
@@ -15,30 +18,52 @@ from heapq import heapify, heappop, heappush
 
 @dataclass(frozen=True)
 class SymIntMatrix:
-    """Symmetric integer matrix; `entries` is a tuple of row tuples."""
+    """Symmetric integer matrix; `rows[i]` is the tuple of pairs (j, a_ij)
+    with a_ij != 0, in increasing j. `SymIntMatrix(rows)` converts dense
+    rows, and `entries` is the dense tuple of row tuples, built on read."""
 
-    entries: tuple
+    rows: tuple
 
     def __init__(self, rows):
-        rows = tuple(tuple(x for x in row) for row in rows)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for x in row:
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        # a zero that is not an integer is kept, for the check to reject
+        rows = [{j: x for j, x in enumerate(row) if x or not isinstance(x, int)} for row in rows]
+        object.__setattr__(self, "rows", self.from_nonzeros(len(rows), rows).rows)
+
+    @classmethod
+    def from_nonzeros(cls, n, rows):
+        """The n x n matrix whose row i is the mapping rows[i] = {j: a_ij};
+        absent entries are zero. Checked in time linear in the entries."""
+        if len(rows) != n:
+            raise ValueError("expected %d rows, got %d" % (n, len(rows)))
+        out = []
+        for i, row in enumerate(rows):
+            for j, x in row.items():
                 if not isinstance(x, int):
                     raise ValueError("entries must be integers, got %r" % (x,))
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(
-                        "matrix must be symmetric, differs at (%d, %d)" % (i, j)
-                    )
-        object.__setattr__(self, "entries", rows)
+                if not (isinstance(j, int) and 0 <= j < n):
+                    raise ValueError("column %r of row %d is outside 0..%d" % (j, i, n - 1))
+                if x and rows[j].get(i, 0) != x:
+                    raise ValueError("matrix must be symmetric, differs at (%d, %d)" % (i, j))
+            items = sorted(row.items())
+            out.append(tuple(items if 0 not in row.values() else [t for t in items if t[1]]))
+        m = cls.__new__(cls)
+        object.__setattr__(m, "rows", tuple(out))
+        return m
 
     @property
     def n(self):
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self):
+        out = [[0] * len(self.rows) for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j, x in row:
+                out[i][j] = x
+        return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -56,12 +81,13 @@ class InertiaTriple:
 
 def _pivots(rows):
     """Yield the Bareiss pivots d_1, d_2, ... of the symmetric integer
-    matrix `rows`, in elimination order; there is one per nonzero
-    eigenvalue.
+    matrix with the stored rows `rows` (see `SymIntMatrix`), in
+    elimination order; there is one per nonzero eigenvalue.
 
     d_t is the principal minor of the input (after the repairs below)
     on the first t pivot indices, so the t-th LDL^T pivot is
-    d_t / d_{t-1}, with d_0 = 1.  Rows are dicts of their nonzeros.
+    d_t / d_{t-1}, with d_0 = 1.  Each row is copied into a dict of its
+    nonzeros, which the elimination rewrites.
     Eliminating pivot k with value p rewrites each row i that meets
     column k as a_ij <- (p a_ij - a_ik a_kj) // prev, prev the previous
     pivot; by Sylvester's identity the result is again a minor, so the
@@ -80,7 +106,7 @@ def _pivots(rows):
     Rows that become empty are zero eigenvalues and yield nothing.
     """
     n = len(rows)
-    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    a = [dict(row) for row in rows]
     seen = [0] * n
     d = [1]
     # (degree, index) of every row with a nonzero diagonal; an entry whose
@@ -147,7 +173,7 @@ def _pivots(rows):
 def inertia(m):
     """Exact eigenvalue sign counts of a SymIntMatrix.
 
-    Symmetric Bareiss elimination on sparse rows (see `_pivots`): the
+    Symmetric Bareiss elimination on the stored rows (see `_pivots`): the
     t-th LDL^T pivot has the sign of d_t * d_{t-1}, where d_t is the t-th
     fraction-free pivot and d_0 = 1; every index that yields no pivot is
     a zero eigenvalue.
@@ -156,7 +182,7 @@ def inertia(m):
         raise ValueError("inertia expects a SymIntMatrix")
     n_pos = n_neg = 0
     prev = 1
-    for p in _pivots(m.entries):
+    for p in _pivots(m.rows):
         if (p > 0) == (prev > 0):
             n_pos += 1
         else:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -387,6 +388,71 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: %s line 2:" % path)
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--inj", "1e-120"), "injectivity radius"),
+            (("--inj", "1e120"), "injectivity radius"),
+            (("--inj", "1e-100", "--c1", "1e10"), "4-genus bound"),
+        ],
+        ids=["inj-cube-underflow", "inj-cube-overflow", "g4-overflow"],
+    )
+    # the huge radius also warns that it is out of range
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    def test_bounds_outside_float_range_is_1(self, capsys, extra, message):
+        rc = main([
+            "bounds", "--longitude", "4.1", "--meridian", "0.7237+1.0160i",
+            "--volume", "3.16", "--sigma", "0", *extra,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,5,0,4.0,1e120,0.8,1.0,5.0,,", "injectivity radius"),
+            ("A,5,0,1e-310,1.0,0.8,1.0,5.0,,", "c1 statistic"),
+        ],
+        ids=["inj-cube-overflow", "c1-overflow"],
+    )
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    def test_census_c1_outside_float_range_is_1(self, capsys, tmp_path, row, message):
+        header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join([header, row]) + "\n", encoding="utf-8")
+        rc = main(["census-stats", str(path), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"base_braid": [1, 1, 1], "strands": 10**9},
+            {"base_braid": [1, 1, 1], "regions": [[0, 1, 10**9]]},
+        ],
+        ids=["strands", "region-count"],
+    )
+    def test_huge_strand_count_is_1_in_small_memory(self, capsys, tmp_path, spec):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            rc = main(["twist-verify", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert peak < 2**20
 
     def test_internal_error_is_3(self, capsys, tmp_path, monkeypatch):
         def broken(d):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +46,32 @@ def test_asymmetric_rejected():
 def test_non_integer_rejected():
     with pytest.raises(ValueError):
         SymIntMatrix([[0.5]])
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (2, [{1: 1}, {0: 2}]),
+        (2, [{0: 1, 1: 1}, {}]),
+        (1, [{0: 0.5}]),
+        (1, [{0: "1"}]),
+        (2, [{2: 1}, {}]),
+        (2, [{-1: 1}, {}]),
+        (2, [{0: 1}]),
+        (1, [{0: 1}, {}]),
+    ],
+    ids=["asymmetric", "one-sided", "float", "string", "column-too-big",
+         "column-negative", "too-few-rows", "too-many-rows"],
+)
+def test_from_nonzeros_rejects(n, rows):
+    with pytest.raises(ValueError):
+        SymIntMatrix.from_nonzeros(n, rows)
+
+
+def test_from_nonzeros_drops_zeros():
+    m = SymIntMatrix.from_nonzeros(2, [{0: 0, 1: 3}, {1: 0, 0: 3}])
+    assert m.rows == (((1, 3),), ((0, 3),))
+    assert m.entries == ((0, 3), (3, 0))
 
 
 def test_inertia_rejects_raw_lists():
@@ -172,6 +199,36 @@ def test_agrees_with_dense_reference(kind, data):
     assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows)
 
 
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@given(data=st.data())
+def test_sparse_and_dense_construction_agree(kind, data):
+    rows = data.draw(sym_matrix(8) if kind == "dense" else sparse_sym())
+    n = len(rows)
+    dense = SymIntMatrix(rows)
+    sparse = SymIntMatrix.from_nonzeros(n, [{j: x for j, x in enumerate(row) if x} for row in rows])
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert dense.entries == tuple(tuple(row) for row in rows)
+    assert SymIntMatrix(dense.entries) == dense
+    got = inertia(sparse)
+    assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows)
+
+
+def test_large_sparse_form_needs_no_dense_copy():
+    # a 20,000-dim path form; a dense copy would take about 3 GB
+    n = 20_000
+    rows = [{i: 2} for i in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = rows[i + 1][i] = -1
+    tracemalloc.start()
+    try:
+        got = inertia(SymIntMatrix.from_nonzeros(n, rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == InertiaTriple(n, 0, 0)
+    assert peak < 64 * 2**20
+
+
 def _symmetrized(v):
     return [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
 
@@ -205,7 +262,7 @@ def hadamard_bits(rows):
 
 
 def peak_pivot_bits(rows):
-    return max((abs(p).bit_length() for p in _pivots(rows)), default=0)
+    return max((abs(p).bit_length() for p in _pivots(SymIntMatrix(rows).rows)), default=0)
 
 
 def test_knot_form_pivots_within_hadamard_bound(knot_forms):
