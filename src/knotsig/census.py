@@ -250,21 +250,26 @@ def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
 
 def _derive_row(row):
     g = row.geom
-    slope = natural_slope(g.cusp)
-    gap = 2 * row.sigma - slope
-    return DerivedRow(
-        row=row,
-        slope=slope,
-        gap=gap,
-        c1=c1_statistic(g),
-        sigma_hat=normalized_signature(g),
-        gap_normalized=gap / math.sqrt(row.volume),
-    )
+    try:
+        slope = natural_slope(g.cusp)
+        gap = 2 * row.sigma - slope
+        return DerivedRow(
+            row=row,
+            slope=slope,
+            gap=gap,
+            c1=c1_statistic(g),
+            sigma_hat=normalized_signature(g),
+            gap_normalized=gap / math.sqrt(row.volume),
+        )
+    except ValueError as exc:
+        raise CensusFormatError("row %s: %s" % (row.name, exc)) from exc
 
 
 def derive(rows, envelope_b=2.0, envelope_c=2.0):
     """Compute per-row derived columns and the aggregate statistics,
-    ordered by name. An empty input gives an empty report."""
+    ordered by name. An empty input gives an empty report; a row whose
+    derived values leave the float range raises CensusFormatError naming
+    the row."""
     derived = tuple(_derive_row(r) for r in sorted(rows, key=lambda r: r.name))
     return aggregate(derived, envelope_b, envelope_c)
 

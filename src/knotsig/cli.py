@@ -114,7 +114,7 @@ def _cmd_correct_slope(args):
 
 
 def _cmd_twist_verify(args):
-    spec, q_vectors = load_spec(args.path)
+    spec, q_vectors = load_spec(sys.stdin if args.path == "-" else args.path)
     for row in family_report(spec, q_vectors):
         q_text = ",".join(str(q) for q in row.q)
         print("%s %d %d %d" % (q_text, row.sigma, row.predicted, row.residual))
@@ -196,7 +196,7 @@ def build_parser():
     sub.set_defaults(func=_cmd_correct_slope)
 
     sub = subs.add_parser("twist-verify", help="signatures of a twist family against the slope prediction")
-    sub.add_argument("path", help="JSON family spec")
+    sub.add_argument("path", help='JSON family spec, or "-" for stdin')
     sub.set_defaults(func=_cmd_twist_verify)
 
     sub = subs.add_parser("census-stats", help="ingest a census CSV and emit statistics")

@@ -222,13 +222,11 @@ def _inj_cubed(g):
     return cube
 
 
-def c1_statistic(g, residual_only=False):
+def c1_statistic(g):
     """|2*sigma - slope| * inj^3 / vol, the normalized defect of the
-    slope-signature correlation; residual_only skips the normalization."""
+    slope-signature correlation."""
     sigma = g._require_sigma()
     residual = abs(2 * sigma - natural_slope(g.cusp))
-    if residual_only:
-        return residual
     c1 = residual * _inj_cubed(g) / g.volume
     return _require_finite(c1, "c1 statistic", g)
 

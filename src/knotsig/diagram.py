@@ -13,19 +13,19 @@ Conventions, fixed once for the whole package:
 - Codes are strict: one whose under-strand enters some crossing at slot 2
   is rejected.
 
-A code is walked and validated once, by `_Geometry`, when
-`DiagramCode.from_tuples` builds it; the geometry stays on the code and
-both pipelines read it from there. The geometry holds the walk, the faces
-and the Seifert circles; `checkerboard` colours the faces for itself, and
-`braided_path` reads the circle order off the Seifert graph. Each Vogel
-move builds one new geometry.
+A code is walked and validated once, by `_Geometry`, when a `DiagramCode`
+is built; the geometry stays on the code and both pipelines read it from
+there. The geometry holds the walk, the faces and the Seifert circles;
+`checkerboard` colours the faces for itself, and `braided_path` reads the
+circle order off the Seifert graph. Each Vogel move builds one new
+geometry.
 """
 
 import heapq
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
+from itertools import chain, compress
 
 from .braid import (
     closure_is_knot,
@@ -56,14 +56,28 @@ class MultiComponentError(ValueError):
 @dataclass(frozen=True)
 class DiagramCode:
     """A validated knot diagram: crossing tuples in the strict slot
-    convention plus the resolved sign of every crossing.
+    convention, with arc labels exactly 1..2n.
 
-    `from_tuples` keeps the `_Geometry` it validated the code with as the
-    attribute `_geom`. It is not a field, so it takes no part in `==`,
-    `hash` or `repr`."""
+    The sign of every crossing and the `_Geometry` (walk, faces, circles)
+    are worked out from the crossings when the code is built, so a code
+    that is not a strict planar knot diagram raises a `ValueError`
+    subclass then. The geometry takes no part in `==`, `hash` or `repr`."""
 
     crossings: tuple
-    signs: tuple
+    signs: tuple = field(init=False)
+    _geom: "_Geometry" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tuples = tuple(map(tuple, self.crossings))
+        labels, top = _validate_labels(tuples), 2 * len(tuples)
+        if len(labels) != top or not all(
+            isinstance(e, int) and 0 < e <= top for e in labels
+        ):
+            raise PDSyntaxError("arc labels are not exactly 1..%d" % top)
+        geom = _Geometry(tuples)
+        object.__setattr__(self, "crossings", geom.tuples)
+        object.__setattr__(self, "signs", geom.signs)
+        object.__setattr__(self, "_geom", geom)
 
     @property
     def n(self):
@@ -75,15 +89,16 @@ class DiagramCode:
 
     @classmethod
     def from_tuples(cls, tuples):
+        """The code of `tuples` with their labels renamed, in order, to
+        1..2n. Label ends are counted before the renaming, so that an
+        error names the labels as given."""
+        tuples = [tuple(t) for t in tuples]
         _validate_labels(tuples)
-        geom = _Geometry(relabel_tuples([tuple(t) for t in tuples]))
-        code = cls(geom.tuples, geom.signs)
-        object.__setattr__(code, "_geom", geom)
-        return code
+        return cls(relabel_tuples(tuples))
 
     @classmethod
     def from_braid_word(cls, word, strands=None):
-        return cls.from_tuples(trace_closure_tuples(word, strands))
+        return cls(trace_closure_tuples(word, strands))
 
     @classmethod
     def parse(cls, text):
@@ -145,34 +160,19 @@ def load_fixture_file(path):
 
 
 def _validate_labels(tuples):
-    counts = defaultdict(int)
-    for t in tuples:
-        for e in t:
-            counts[e] += 1
+    """The labels of `tuples`, each of which must end exactly two arcs."""
+    counts = Counter(chain.from_iterable(tuples))
     bad = sorted(e for e, k in counts.items() if k != 2)
     if bad:
         raise ArcMultiplicityError("arc labels without exactly two ends: %s" % bad)
-
-
-def _geometry(d):
-    """The geometry of a code. One made by `from_tuples` carries it; a code
-    built directly from crossings and signs is checked on first use and
-    must be exactly what `from_tuples` makes of its crossings."""
-    geom = getattr(d, "_geom", None)
-    if geom is None:
-        made = DiagramCode.from_tuples(d.crossings)
-        if made != d:
-            raise PDSyntaxError("stored crossings or signs disagree with the strand walk")
-        geom = made._geom
-        object.__setattr__(d, "_geom", geom)
-    return geom
+    return counts
 
 
 class _Geometry:
     """What one walk along the strand of a code determines: the strict
     tuples and crossing signs, the direction of every arc, the faces of
     the rotation system and the circles of the oriented smoothing. Built
-    once per code, by `from_tuples`, and once per Vogel move; the walk and
+    once per code, by `DiagramCode`, and once per Vogel move; the walk and
     the face count raise a `ValueError` subclass when the tuples are not a
     planar knot diagram. The circles and the crossings alone give the
     circle order of a braided diagram (`braided_path`)."""
@@ -344,7 +344,7 @@ def checkerboard(d):
     column, plus the type-II correction. The form is accumulated as rows
     of nonzeros, crossing by crossing; each diagonal entry is minus the
     sum of the rest of its row in the unreduced form."""
-    g = _geometry(d)
+    g = d._geom
     if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
     # the face left of the walk changes colour at every crossing, and head
@@ -383,7 +383,7 @@ def checkerboard(d):
         row = {windex[h]: x for h, x in off[f].items() if h != outer}
         row[windex[f]] = -sum(off[f].values())
         rows.append(row)
-    return GoeritzData(SymIntMatrix.from_nonzeros(len(whites), rows), correction)
+    return GoeritzData(SymIntMatrix.from_nonzeros(rows), correction)
 
 
 def gl_signature(d):
@@ -424,7 +424,7 @@ def _vogel_move(geom, defect):
 def braid_word(d):
     """Braid word whose trace closure is the given knot, via coherence
     moves followed by reading the braid off the circle order."""
-    geom = _geometry(d)
+    geom = d._geom
     if geom.n == 0:
         return []
     cap = d.n * d.n + 8 * d.n + 64
@@ -518,7 +518,7 @@ def seifert_signature(d):
         for j in compress(range(len(row)), row):
             sym[i][j] += row[j]
             sym[j][i] += row[j]
-    return signature(SymIntMatrix.from_nonzeros(len(v), sym))
+    return signature(SymIntMatrix.from_nonzeros(sym))
 
 
 def mirror_diagram(d):
@@ -530,7 +530,7 @@ def mirror_diagram(d):
             out.append((dd, a, b, c))
         else:
             out.append((b, c, dd, a))
-    return DiagramCode.from_tuples(out)
+    return DiagramCode(out)
 
 
 def insert_kink(d, sign=1, edge=None):
@@ -538,8 +538,8 @@ def insert_kink(d, sign=1, edge=None):
     label by default)."""
     if d.n == 0:
         t = (1, 1, 2, 2) if sign > 0 else (1, 2, 2, 1)
-        return DiagramCode.from_tuples([t])
-    geom = _geometry(d)
+        return DiagramCode([t])
+    geom = d._geom
     if edge is None:
         edge = min(geom.incid)
     if edge not in geom.incid:
@@ -552,4 +552,4 @@ def insert_kink(d, sign=1, edge=None):
         tuples.append((edge, e2, x, x))
     else:
         tuples.append((edge, x, x, e2))
-    return DiagramCode.from_tuples(tuples)
+    return DiagramCode(tuples)

@@ -30,14 +30,14 @@ class SymIntMatrix:
             raise ValueError("matrix must be square")
         # a zero that is not an integer is kept, for the check to reject
         rows = [{j: x for j, x in enumerate(row) if x or not isinstance(x, int)} for row in rows]
-        object.__setattr__(self, "rows", self.from_nonzeros(len(rows), rows).rows)
+        object.__setattr__(self, "rows", self.from_nonzeros(rows).rows)
 
     @classmethod
-    def from_nonzeros(cls, n, rows):
-        """The n x n matrix whose row i is the mapping rows[i] = {j: a_ij};
-        absent entries are zero. Checked in time linear in the entries."""
-        if len(rows) != n:
-            raise ValueError("expected %d rows, got %d" % (n, len(rows)))
+    def from_nonzeros(cls, rows):
+        """The n x n matrix, n = len(rows), whose row i is the mapping
+        rows[i] = {j: a_ij}; absent entries are zero. Checked in time
+        linear in the entries."""
+        n = len(rows)
         out = []
         for i, row in enumerate(rows):
             for j, x in row.items():

@@ -123,11 +123,11 @@ def test_criterion_7_counterexample_arithmetic():
         # single 3-strand region: slope grows like -9q, twice the
         # signature like -8q, so no constant can bound the gap
         assert predicted_slope((3,), (q,)) == -9 * q
-        assert 2 * predicted_signature((), (), (3,), (q,)) == -8 * q
+        assert 2 * predicted_signature((3,), (q,)) == -8 * q
         # paired regions with opposite twisting: slope 4q against
         # signature -2q, so the two eventually disagree in sign
         assert predicted_slope((2, 3), (17 * q, -8 * q)) == 4 * q
-        assert predicted_signature((2,), (17 * q,), (3,), (-8 * q,)) == -2 * q
+        assert predicted_signature((2, 3), (17 * q, -8 * q)) == -2 * q
 
 
 def test_criterion_8_statistics_pipeline(tmp_path):

@@ -194,6 +194,17 @@ class TestTwistVerify:
                 row.residual,
             )
 
+    def test_stdin_matches_file(self, capsys, tmp_path, monkeypatch):
+        text = json.dumps(
+            {"base_braid": [1, -2], "regions": [[0, 1, 3]], "q_vectors": [[1], [4]]}
+        )
+        path = tmp_path / "fam.json"
+        path.write_text(text, encoding="utf-8")
+        from_file = run_cli(capsys, "twist-verify", str(path))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(capsys, "twist-verify", "-") == from_file
+        assert from_file[0] == 0 and len(from_file[1].splitlines()) == 2
+
 
 class TestCensusStats:
     def test_matches_library_emission(self, capsys, tmp_path):
@@ -428,16 +439,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: " + message)
+        assert captured.err.startswith("error: row A: " + message)
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    def test_census_derive_error_names_its_row(self, capsys, tmp_path):
+        # ingest accepts every row; deriving c1 of the third overflows
+        header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
+        rows = [
+            "A,5,-2,4.0,0.5,0.8,1.0,5.0,,",
+            "C,5,-2,4.0,0.5,0.8,1.0,5.0,,",
+            "B,5,0,1e-310,1.0,0.8,1.0,5.0,,",
+        ]
+        path = tmp_path / "tiny.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        rc = main(["census-stats", str(path), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: row B: c1 statistic")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "derived.csv").exists()
 
     @pytest.mark.parametrize(
         "spec",
         [
             {"base_braid": [1, 1, 1], "strands": 10**9},
             {"base_braid": [1, 1, 1], "regions": [[0, 1, 10**9]]},
+            # 6 * 10**12 letters, counted before any is built
+            {"base_braid": [1, -2], "regions": [[0, 1, 3]], "q_vectors": [[10**12]]},
         ],
-        ids=["strands", "region-count"],
+        ids=["strands", "region-count", "twist-count"],
     )
     def test_huge_strand_count_is_1_in_small_memory(self, capsys, tmp_path, spec):
         path = tmp_path / "fam.json"

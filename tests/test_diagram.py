@@ -109,12 +109,56 @@ class TestParse:
 
     def test_direct_code_is_checked(self):
         d = parse_pd(TREFOIL_TEXT)
-        same = DiagramCode(d.crossings, d.signs)
+        same = DiagramCode(d.crossings)
+        assert same.signs == d.signs
         assert gl_signature(same) == seifert_signature(same) == gl_signature(d)
-        wrong = DiagramCode(d.crossings, tuple(-s for s in d.signs))
-        for pipeline in (gl_signature, seifert_signature):
-            with pytest.raises(PDSyntaxError):
-                pipeline(wrong)
+
+    def test_direct_code_rebuilds_every_code(self):
+        codes = list(diagram.load_fixture_file(CORPUS).values())
+        rng = random.Random(5)
+        while len(codes) < 56 + 100:
+            strands = rng.choice((2, 3, 4, 5))
+            length = strands - 1 + 2 * rng.randint(0, 8)
+            word = braid.random_knot_word(rng, strands, length)
+            codes.append(DiagramCode.from_braid_word(word))
+            strands = rng.choice((4, 6, 8))
+            word = [
+                rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 3 * strands))
+            ]
+            try:
+                codes.append(
+                    DiagramCode.from_tuples(braid.plat_closure_tuples(word, strands))
+                )
+            except MultiComponentError:
+                pass
+        for d in codes:
+            again = DiagramCode(d.crossings)
+            assert again == d and hash(again) == hash(d)
+            assert again.signs == d.signs
+
+    @pytest.mark.parametrize(
+        "tuples, error",
+        [
+            # the all-upward tuples of the plat [2, 2, -1, 2]: not strict
+            ([(2, 4, 3, 1), (4, 6, 5, 3), (1, 5, 7, 8), (6, 2, 8, 7)], PDSyntaxError),
+            # the left trefoil with every label shifted up by one
+            ([(2, 5, 3, 6), (4, 7, 5, 2), (6, 3, 7, 4)], PDSyntaxError),
+            # the left trefoil with label 6 renamed 9
+            ([(1, 4, 2, 5), (3, 9, 4, 1), (5, 2, 9, 3)], PDSyntaxError),
+            ([("a", "b", "a", "b")], PDSyntaxError),
+            # three-slot crossings: three labels where 1..4 are needed
+            ([(1, 1, 2), (2, 3, 3)], PDSyntaxError),
+            # a Hopf link
+            ([(2, 4, 3, 1), (4, 2, 1, 3)], MultiComponentError),
+            ([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 6)], ArcMultiplicityError),
+        ],
+        ids=["non-strict", "labels-shifted", "label-gap", "labels-not-integers",
+             "three-slots", "two-components", "multiplicity"],
+    )
+    def test_malformed_direct_code_raises_when_built(self, tuples, error):
+        with pytest.raises(error):
+            DiagramCode(tuples)
 
 
 class TestCheckerboard:

@@ -4,10 +4,12 @@ arithmetic for the counterexample families, and report plumbing."""
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from knotsig.diagram import gl_signature, seifert_signature
 from knotsig.torus import torus_signature
 from knotsig.twistfam import (
+    MAX_TWISTED_LETTERS,
     FamilyRow,
     TwistSpec,
     family_report,
@@ -72,6 +74,16 @@ class TestTwistInsert:
         with pytest.raises(ValueError):
             twist_insert(TREFOIL_SPEC, (1, 1))
 
+    def test_letter_limit(self):
+        # each full twist on 3 strands is 6 letters; the limit is checked
+        # on the count, before any letter is built
+        spec = TwistSpec((1, -2), ((0, 1, 3),))
+        q = (MAX_TWISTED_LETTERS - 2) // 6
+        assert len(twisted_word(spec, (q,))) == 2 + 6 * q <= MAX_TWISTED_LETTERS
+        for big in (q + 1, -(q + 1), 10**12):
+            with pytest.raises(ValueError):
+                twisted_word(spec, (big,))
+
     def test_multi_region_order(self):
         spec = TwistSpec((1, 2), ((0, 1, 2), (2, 2, 2)))
         word = twisted_word(spec, (1, -1))
@@ -88,21 +100,32 @@ class TestPredictions:
             predicted_slope((2, 3), (1,))
 
     def test_signature(self):
-        assert predicted_signature((), (), (3,), (5,)) == -20
+        assert predicted_signature((3,), (5,)) == -20
         for t in (1, 10, 100):
-            assert predicted_signature((2,), (17 * t,), (3,), (-8 * t,)) == -2 * t
-        assert predicted_signature((2,), (0,), (3,), (0,)) == 0
+            assert predicted_signature((2, 3), (17 * t, -8 * t)) == -2 * t
+            assert predicted_signature((3, 2), (-8 * t, 17 * t)) == -2 * t
+        assert predicted_signature((2, 3), (0, 0)) == 0
+        assert predicted_signature((), ()) == 0
         with pytest.raises(ValueError):
-            predicted_signature((3,), (1,), (), ())
-        with pytest.raises(ValueError):
-            predicted_signature((), (), (2,), (1,))
-        with pytest.raises(ValueError):
-            predicted_signature((2,), (), (), ())
+            predicted_signature((2, 3), (1,))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-50, 50), st.integers(-10**6, 10**6)), max_size=8
+        )
+    )
+    def test_signature_is_slope_less_odd_twists(self, pairs):
+        # the paper's refinement: only odd linking numbers shift the slope,
+        # each by its twist count
+        ell = [l for l, _ in pairs]
+        q = [qi for _, qi in pairs]
+        odd = sum(qi for l, qi in pairs if l % 2)
+        assert 2 * predicted_signature(ell, q) == predicted_slope(ell, q) + odd
 
     def test_counterexample_gap_grows(self):
         # with one odd region of 3 strands the predictions diverge linearly
         for q in (1, 10, 100):
-            sig = predicted_signature((), (), (3,), (q,))
+            sig = predicted_signature((3,), (q,))
             slope = predicted_slope((3,), (q,))
             assert abs(2 * sig - slope) == q
 
@@ -144,3 +167,5 @@ class TestConfigText:
         spec, q_vectors = load_spec(path)
         assert spec == TREFOIL_SPEC
         assert q_vectors == [(0,), (1,), (2,)]
+        with path.open(encoding="utf-8") as fh:
+            assert load_spec(fh) == (spec, q_vectors)
