@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from knotsig.braid import closure_is_knot
+from knotsig.braid import closure_is_knot, word_strands
 from knotsig.twistfam import TwistSpec, family_report
 
 Q_RANGE = range(5, 13)
@@ -34,7 +34,7 @@ def main():
     constant, oscillating = [], []
     for length in range(2, max_len + 1):
         for base in product((1, -1, 2, -2), repeat=length):
-            if not closure_is_knot(list(base), 3):
+            if word_strands(base) != 3 or not closure_is_knot(base):
                 continue
             res = residuals(base)
             (constant if len(set(res)) == 1 else oscillating).append((base, res))

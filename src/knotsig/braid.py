@@ -2,7 +2,10 @@
 
 A braid word is a list of nonzero signed integers: letter +i crosses strand
 position i over position i+1 (left over right, both oriented upward), -i is
-the inverse. Positions are 1-based, words act bottom to top.
+the inverse. Positions are 1-based, words act bottom to top. A trace
+closure is a knot only on the strands its word uses, one more than its
+largest letter (`word_strands`), since any further strand closes into a
+separate component; so the trace-closure functions take the word alone.
 
 PD tuples are (a, b, c, d): counterclockwise from the incoming under-strand,
 so the under-strand runs a -> c and the over-strand occupies b and d. With
@@ -21,35 +24,31 @@ def word_strands(word):
     return max(abs(x) for x in word) + 1
 
 
-def word_permutation(word, strands=None):
-    """Permutation induced on strand positions, as a tuple p with
-    p[bottom_position] = top_position (0-based)."""
-    strands = strands or word_strands(word)
-    pos = list(range(strands))
+def word_permutation(word):
+    """Permutation induced on the word's strand positions, as a tuple p
+    with p[bottom_position] = top_position (0-based)."""
+    pos = list(range(word_strands(word)))
     for letter in word:
         i = abs(letter) - 1
-        if i + 1 >= strands:
-            raise ValueError("letter %d exceeds %d strands" % (letter, strands))
         pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    out = [0] * strands
+    out = [0] * len(pos)
     for top, bottom in enumerate(pos):
         out[bottom] = top
     return tuple(out)
 
 
-def closure_is_knot(word, strands=None):
+def closure_is_knot(word):
     """True when the trace closure has a single component. A cycle on
     k strands needs at least k - 1 transpositions, so a word shorter
-    than strands - 1 is rejected before any per-strand list is built."""
-    strands = strands or word_strands(word)
-    if strands > len(word) + 1:
+    than that is rejected before any per-strand list is built."""
+    if word_strands(word) > len(word) + 1:
         return False
-    perm = word_permutation(word, strands)
+    perm = word_permutation(word)
     seen, i = set(), 0
     while i not in seen:
         seen.add(i)
         i = perm[i]
-    return len(seen) == strands
+    return len(seen) == len(perm)
 
 
 def _letter_tuples(word, strands):
@@ -81,16 +80,15 @@ def relabel_tuples(tuples):
     return [tuple(remap[e] for e in t) for t in tuples]
 
 
-def trace_closure_tuples(word, strands=None):
+def trace_closure_tuples(word):
     """PD tuples of the braid's trace closure, in the strict convention
     (slot 0 of every tuple is the incoming under-strand)."""
-    strands = strands or word_strands(word)
-    if not closure_is_knot(word, strands):
+    if not closure_is_knot(word):
         raise ValueError("closure is not a knot (multiple components)")
     if not word:
         return []
-    tuples, top = _letter_tuples(word, strands)
-    merged = {top[j]: j + 1 for j in range(strands)}
+    tuples, top = _letter_tuples(word, word_strands(word))
+    merged = {e: j + 1 for j, e in enumerate(top)}
     out = [tuple(merged.get(e, e) for e in t) for t in tuples]
     return relabel_tuples(out)
 
@@ -155,8 +153,8 @@ def invert_word(word):
     return [-x for x in reversed(word)]
 
 
-def collins_seifert_matrix(word, strands=None):
-    """Seifert matrix of the braid's trace closure.
+def collins_seifert_matrix(word):
+    """Seifert matrix of the braid's trace closure, as a list of rows.
 
     Basis: for each generator index, the loops through consecutive pairs of
     its bands (occurrences in the word). Entry rules follow the two-bridge
@@ -166,8 +164,7 @@ def collins_seifert_matrix(word, strands=None):
     a single one-sided unit entry; loops on neighbouring generators
     contribute a unit entry when their band positions interleave.
     """
-    strands = strands or word_strands(word)
-    occurrences = [[] for _ in range(max(strands - 1, 0))]
+    occurrences = [[] for _ in range(word_strands(word) - 1)]
     for pos, letter in enumerate(word):
         occurrences[abs(letter) - 1].append((pos, letter < 0))
     loops_by_gen = []
@@ -212,6 +209,6 @@ def random_knot_word(rng, strands, length, max_tries=20000):
         raise ValueError("no knot closures: length %d has wrong parity for %d strands" % (length, strands))
     for _ in range(max_tries):
         word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
-        if closure_is_knot(word, strands):
+        if word_strands(word) == strands and closure_is_knot(word):
             return word
     raise RuntimeError("no knot closure found; implausible parameters")

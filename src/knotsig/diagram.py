@@ -97,8 +97,8 @@ class DiagramCode:
         return cls(relabel_tuples(tuples))
 
     @classmethod
-    def from_braid_word(cls, word, strands=None):
-        return cls(trace_closure_tuples(word, strands))
+    def from_braid_word(cls, word):
+        return cls(trace_closure_tuples(word))
 
     @classmethod
     def parse(cls, text):
@@ -112,14 +112,6 @@ class GoeritzData:
 
     matrix: SymIntMatrix
     euler_correction: int
-
-
-@dataclass(frozen=True)
-class SeifertData:
-    """Seifert form in a band basis of the surface built by the oriented
-    smoothing of a braided form of the diagram."""
-
-    matrix: tuple
 
 
 _TERM = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -496,23 +488,21 @@ def braid_word(d):
         if len(ks) != 2 or ks[1] != ks[0] + 1:
             raise RuntimeError("crossing joins non-adjacent circles")
         letters.append(geom.signs[c] * ks[0])
-    strands = len(order)
-    if word_strands(letters) != strands or not closure_is_knot(letters, strands):
+    if word_strands(letters) != len(order) or not closure_is_knot(letters):
         raise RuntimeError("extracted word is not a knot braid on all strands")
     return letters
 
 
 def seifert_matrix(d):
-    """Seifert form of the surface from the oriented smoothing of a
-    braided form of the diagram, in the consecutive-band loop basis."""
-    word = braid_word(d)
-    v = collins_seifert_matrix(word)
-    return SeifertData(tuple(tuple(row) for row in v))
+    """Seifert form V of the surface from the oriented smoothing of a
+    braided form of the diagram, in the consecutive-band loop basis, as a
+    list of rows (`[]` for the unknot)."""
+    return collins_seifert_matrix(braid_word(d))
 
 
 def seifert_signature(d):
     """Knot signature as the signature of V + V^T."""
-    v = seifert_matrix(d).matrix
+    v = seifert_matrix(d)
     sym = [defaultdict(int) for _ in v]
     for i, row in enumerate(v):
         for j in compress(range(len(row)), row):

@@ -119,4 +119,4 @@ def torus_pd(p, q):
             "T(%d,%d) is a link; the diagram oracle handles knots only" % (p, q)
         )
     word = list(range(1, p)) * q
-    return DiagramCode.from_braid_word(word, p)
+    return DiagramCode.from_braid_word(word)

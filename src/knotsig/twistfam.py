@@ -11,28 +11,21 @@ from .diagram import DiagramCode, gl_signature
 
 @dataclass(frozen=True)
 class TwistSpec:
-    """A base braid whose closure is a knot, plus twist regions given as
-    (position in word, first strand, strand count). Each region models a
-    curve encircling that many coherently oriented strands, so its linking
-    number with the knot equals the strand count."""
+    """A base braid whose trace closure is a knot, plus twist regions given
+    as (position in word, first strand, strand count) within the base
+    braid's own strands. Each region models a curve encircling that many
+    coherently oriented strands, so its linking number with the knot
+    equals the strand count."""
 
     base_braid: tuple
     regions: tuple
-    strands: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "base_braid", tuple(self.base_braid))
         object.__setattr__(
             self, "regions", tuple(tuple(r) for r in self.regions)
         )
-        k = self.strands
-        if k is None:
-            k = word_strands(self.base_braid)
-            for _, start, count in self.regions:
-                k = max(k, start + count - 1)
-            object.__setattr__(self, "strands", k)
-        if k < word_strands(self.base_braid):
-            raise ValueError("braid word needs more than %d strands" % k)
+        k = word_strands(self.base_braid)
         for pos, start, count in self.regions:
             if not 0 <= pos <= len(self.base_braid):
                 raise ValueError("region position %d outside the word" % pos)
@@ -41,7 +34,7 @@ class TwistSpec:
                     "region strands [%d, %d] not within [1, %d]"
                     % (start, start + count - 1, k)
                 )
-        if not closure_is_knot(self.base_braid, k):
+        if not closure_is_knot(self.base_braid):
             raise ValueError("base braid closure is not a knot")
 
     @property
@@ -93,7 +86,7 @@ def twisted_word(spec, q):
 def twist_insert(spec, q):
     """Diagram of the twisted closure. Full twists are pure braids, so the
     closure is a knot whenever the spec's base braid closes to one."""
-    return DiagramCode.from_braid_word(twisted_word(spec, q), spec.strands)
+    return DiagramCode.from_braid_word(twisted_word(spec, q))
 
 
 def predicted_slope(ell, q):
@@ -157,8 +150,8 @@ def load_spec(source):
     """Read a TwistSpec (and optional list of twist vectors) from a JSON
     file, given as a path or an open text stream (read, not closed):
     {"base_braid": [1,1,1] or "1,1,1", "regions": [[pos,start,count]],
-    "strands": optional, "q_vectors": optional}. A file of any other shape
-    raises a ValueError that names the field."""
+    "q_vectors": [[q, ...]]}, the last two optional. Any other key, or a
+    file of any other shape, raises a ValueError that names it."""
     if hasattr(source, "read"):
         raw = json.load(source)
     else:
@@ -166,6 +159,10 @@ def load_spec(source):
             raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("spec must be a JSON object")
+    unknown = sorted(set(raw) - {"base_braid", "regions", "q_vectors"})
+    if unknown:
+        raise ValueError("unknown spec key %s; the keys are base_braid, regions "
+                         "and q_vectors" % ", ".join(map(repr, unknown)))
     word = raw.get("base_braid")
     if isinstance(word, str):
         word = parse_braid_text(word)
@@ -175,11 +172,8 @@ def load_spec(source):
     if not (isinstance(regions, list)
             and all(_is_int_list(r) and len(r) == 3 for r in regions)):
         raise ValueError("each regions entry must be three integers")
-    strands = raw.get("strands")
-    if strands is not None and not _is_int(strands):
-        raise ValueError("strands must be an integer or null")
     q_vectors = raw.get("q_vectors", [])
     if not (isinstance(q_vectors, list) and all(_is_int_list(qv) for qv in q_vectors)):
         raise ValueError("q_vectors must be lists of integers")
-    spec = TwistSpec(tuple(word), tuple(tuple(r) for r in regions), strands)
+    spec = TwistSpec(tuple(word), tuple(tuple(r) for r in regions))
     return spec, [tuple(qv) for qv in q_vectors]

@@ -75,7 +75,7 @@ def test_criterion_3_pipeline_agreement():
         if (length - (strands - 1)) % 2:
             length -= 1
         word = random_knot_word(rng, strands, length)
-        d = DiagramCode.from_braid_word(word, strands)
+        d = DiagramCode.from_braid_word(word)
         assert gl_signature(d) == seifert_signature(d), word
     assert time.monotonic() - start <= 120.0
 

@@ -35,17 +35,13 @@ class TestWords:
         assert braid.word_permutation([1]) == (1, 0)
         assert braid.word_permutation([1, 2]) == (2, 0, 1)
         assert braid.word_permutation([1, 1]) == (0, 1)
-        assert braid.word_permutation([1], strands=3) == (1, 0, 2)
-
-    def test_letter_out_of_range(self):
-        with pytest.raises(ValueError):
-            braid.word_permutation([3], strands=2)
 
     def test_closure_is_knot(self):
         assert braid.closure_is_knot([1, 1, 1])
         assert not braid.closure_is_knot([1, 1])
-        assert braid.closure_is_knot([1, 2], strands=3)
-        assert not braid.closure_is_knot([1], strands=3)
+        assert braid.closure_is_knot([1, 2])
+        # the first strand is crossed by no letter, so closes on its own
+        assert not braid.closure_is_knot([2])
 
     def test_full_twist(self):
         assert braid.full_twist_word(1, 1) == []
@@ -59,9 +55,10 @@ class TestWords:
 
     @given(clean_words())
     def test_inverse_gives_inverse_permutation(self, ws):
-        word, s = ws
-        p = braid.word_permutation(word, s)
-        q = braid.word_permutation(braid.invert_word(word), s)
+        word, _ = ws
+        s = braid.word_strands(word)
+        p = braid.word_permutation(word)
+        q = braid.word_permutation(braid.invert_word(word))
         assert all(q[p[i]] == i for i in range(s))
 
 
@@ -92,12 +89,12 @@ class TestTraceClosure:
 
     @given(clean_words())
     def test_edges_appear_twice(self, ws):
-        word, s = ws
-        if not braid.closure_is_knot(word, s):
+        word, _ = ws
+        if not braid.closure_is_knot(word):
             with pytest.raises(ValueError):
-                braid.trace_closure_tuples(word, s)
+                braid.trace_closure_tuples(word)
             return
-        tuples = braid.trace_closure_tuples(word, s)
+        tuples = braid.trace_closure_tuples(word)
         assert len(tuples) == len(word)
         counts = {}
         for t in tuples:
@@ -147,11 +144,11 @@ class TestSeifertMatrix:
 
     @given(clean_words())
     def test_rank_matches_band_count(self, ws):
-        word, s = ws
-        if not braid.closure_is_knot(word, s):
+        word, _ = ws
+        if not braid.closure_is_knot(word):
             return
-        v = braid.collins_seifert_matrix(word, s)
-        assert len(v) == len(word) - (s - 1)
+        v = braid.collins_seifert_matrix(word)
+        assert len(v) == len(word) - (braid.word_strands(word) - 1)
 
 
 class TestRandomWords:
@@ -159,7 +156,8 @@ class TestRandomWords:
         a = braid.random_knot_word(random.Random(7), 4, 11)
         b = braid.random_knot_word(random.Random(7), 4, 11)
         assert a == b
-        assert braid.closure_is_knot(a, 4)
+        assert braid.word_strands(a) == 4
+        assert braid.closure_is_knot(a)
 
     def test_impossible_parity_rejected(self):
         with pytest.raises(ValueError):

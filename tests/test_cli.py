@@ -2,12 +2,13 @@
 
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from knotsig import census
-from knotsig.cli import build_parser, main
+from knotsig.cli import MAX_CHECK_PQ, build_parser, main
 from knotsig.cusp import (
     CuspShape,
     KnotGeom,
@@ -113,6 +114,17 @@ class TestTorusCheck:
         rc, out = run_cli(capsys, "torus-check", "--max-pq", "40")
         assert rc == 0
         assert out.strip() == "OK 0 mismatches"
+
+    @pytest.mark.parametrize("max_pq", [MAX_CHECK_PQ + 1, 10**9])
+    def test_over_the_limit_is_1_at_once(self, capsys, max_pq):
+        start = time.monotonic()
+        rc = main(["torus-check", "--max-pq", str(max_pq)])
+        captured = capsys.readouterr()
+        assert time.monotonic() - start < 1.0
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestDiagramCommands:
@@ -255,6 +267,16 @@ class TestCensusStats:
         rc, _ = run_cli(capsys, "census-stats", str(path), "--out", str(tmp_path))
         assert rc == 1
 
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        out = tmp_path / "a-file"
+        out.write_text("", encoding="utf-8")
+        rc = main(["census-stats", str(SAMPLE), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -339,10 +361,14 @@ class TestExitCodes:
             ('{"base_braid": [1, 1, 1], "q_vectors": 5}', "q_vectors"),
             ('{"base_braid": [1, 1, 1], "q_vectors": [["a"]]}', "q_vectors"),
             ('{"base_braid": [1, 1, 1], "q_vectors": [[1.5]]}', "q_vectors"),
+            # a typo'd key is named, quoted, not taken for a missing one
+            ('{"base_braid": [1, 1, 1], "regions": [[3, 1, 2]], "q_vector": [[1]]}',
+             "'q_vector'"),
         ],
         ids=["no-base-braid", "top-level-list", "region-not-triple",
              "base-braid-int", "base-braid-float", "strands-string",
-             "q-vectors-int", "q-vector-string", "q-vector-float"],
+             "q-vectors-int", "q-vector-string", "q-vector-float",
+             "q-vectors-typo"],
     )
     def test_malformed_twist_spec_is_1(self, capsys, tmp_path, spec, field):
         path = tmp_path / "fam.json"
@@ -465,11 +491,12 @@ class TestExitCodes:
         "spec",
         [
             {"base_braid": [1, 1, 1], "strands": 10**9},
+            {"base_braid": [10**12]},
             {"base_braid": [1, 1, 1], "regions": [[0, 1, 10**9]]},
             # 6 * 10**12 letters, counted before any is built
             {"base_braid": [1, -2], "regions": [[0, 1, 3]], "q_vectors": [[10**12]]},
         ],
-        ids=["strands", "region-count", "twist-count"],
+        ids=["strands", "huge-letter", "region-count", "twist-count"],
     )
     def test_huge_strand_count_is_1_in_small_memory(self, capsys, tmp_path, spec):
         path = tmp_path / "fam.json"

@@ -238,7 +238,7 @@ def knot_forms():
     row = twistfam.twist_insert(twistfam.TwistSpec((1, -2), ((1, 1, 3),)), (20,))
     for name, d in [("T(5,24)", torus.torus_pd(5, 24)), ("twist row", row)]:
         forms[name + " goeritz"] = diagram.checkerboard(d).matrix.entries
-        forms[name + " seifert"] = _symmetrized(diagram.seifert_matrix(d).matrix)
+        forms[name + " seifert"] = _symmetrized(diagram.seifert_matrix(d))
     return forms
 
 

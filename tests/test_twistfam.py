@@ -25,11 +25,6 @@ TREFOIL_SPEC = TwistSpec((1, 1, 1), ((3, 1, 2),))
 
 
 class TestTwistSpec:
-    def test_inferred_strands(self):
-        assert TREFOIL_SPEC.strands == 2
-        assert TwistSpec((1, -2), ((0, 1, 3),)).strands == 3
-        assert TwistSpec((1, 1, 1), (), strands=2).strands == 2
-
     def test_linking_numbers(self):
         assert TREFOIL_SPEC.linking_numbers == (2,)
         assert TwistSpec((1, -2), ((0, 1, 3), (2, 2, 2))).linking_numbers == (3, 2)
@@ -39,10 +34,8 @@ class TestTwistSpec:
             TwistSpec((1, 1), ())  # two-component closure
         with pytest.raises(ValueError):
             TwistSpec((1, 1, 1), ((4, 1, 2),))  # position past the word
-        with pytest.raises(ValueError):
-            TwistSpec((1, 1, 1), ((0, 2, 2),))  # strands outside [1, 2]
-        with pytest.raises(ValueError):
-            TwistSpec((1, 1, 1), (), strands=1)  # word needs 2 strands
+        with pytest.raises(ValueError, match=r"region strands \[2, 3\] not within \[1, 2\]"):
+            TwistSpec((1, 1, 1), ((0, 2, 2),))  # the base braid has 2 strands
         with pytest.raises(ValueError):
             TwistSpec((1, 0, 1), ())  # zero generator
 
