@@ -99,8 +99,13 @@ def plat_closure_tuples(word, strands=None):
     direction, so the closure is walked once from crossing 0 as written and
     every crossing whose under-strand the walk enters at slot 2 is turned by
     two slots; crossings off the walked component of a link stay as built.
+    The strand count defaults to the word's own and may exceed it.
     """
-    strands = strands or word_strands(word)
+    need = word_strands(word)
+    if strands is None:
+        strands = need
+    elif strands < need:
+        raise ValueError("word needs %d strands, more than %d" % (need, strands))
     if strands % 2:
         raise ValueError("plat closure needs an even strand count")
     tuples, top = _letter_tuples(word, strands)

@@ -15,16 +15,21 @@ Conventions, fixed once for the whole package:
 
 A code is walked and validated once, by `_Geometry`, when a `DiagramCode`
 is built; the geometry stays on the code and both pipelines read it from
-there. The geometry holds the walk, the faces and the Seifert circles;
-`checkerboard` colours the faces for itself, and `braided_path` reads the
-circle order off the Seifert graph. Each Vogel move builds one new
-geometry.
+there. The geometry works on flat integer lists indexed by incidence
+i = 4c + s, slot s of crossing c. One pass over the labels checks them
+and pairs the two ends of every arc (`other[i]`); the walk along the
+strand is then the cycle of i -> other[i ^ 2] and the faces are the cycles
+of i -> other[(i & ~3) | ((i + 1) & 3)]. The Seifert circles are worked
+out on first read, since only the Seifert side reads them. `checkerboard`
+colours the faces for itself, and `braided_path` reads the circle order
+off the Seifert graph. Each Vogel move builds one new geometry.
 """
 
 import heapq
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
 
 from .braid import (
@@ -68,13 +73,7 @@ class DiagramCode:
     _geom: "_Geometry" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tuples = tuple(map(tuple, self.crossings))
-        labels, top = _validate_labels(tuples), 2 * len(tuples)
-        if len(labels) != top or not all(
-            isinstance(e, int) and 0 < e <= top for e in labels
-        ):
-            raise PDSyntaxError("arc labels are not exactly 1..%d" % top)
-        geom = _Geometry(tuples)
+        geom = _Geometry(tuple(map(tuple, self.crossings)))
         object.__setattr__(self, "crossings", geom.tuples)
         object.__setattr__(self, "signs", geom.signs)
         object.__setattr__(self, "_geom", geom)
@@ -90,11 +89,17 @@ class DiagramCode:
     @classmethod
     def from_tuples(cls, tuples):
         """The code of `tuples` with their labels renamed, in order, to
-        1..2n. Label ends are counted before the renaming, so that an
-        error names the labels as given."""
+        1..2n, unless they are that already. Label ends are counted before
+        any renaming, so that an error names the labels as given."""
         tuples = [tuple(t) for t in tuples]
-        _validate_labels(tuples)
-        return cls(relabel_tuples(tuples))
+        ends = sorted(chain.from_iterable(tuples))
+        want = list(range(1, 2 * len(tuples) + 1))
+        if ends[::2] != want or ends[1::2] != want:
+            error = _label_error(tuples)
+            if isinstance(error, ArcMultiplicityError):
+                raise error
+            tuples = relabel_tuples(tuples)
+        return cls(tuples)
 
     @classmethod
     def from_braid_word(cls, word):
@@ -115,19 +120,22 @@ class GoeritzData:
 
 
 _TERM = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+# a term, or else the first character outside whitespace and terms
+_TOKEN = re.compile(r"\s*(?:" + _TERM.pattern + r"|(\S))")
 
 
 def parse_pd(text):
     """Parse whitespace-separated "X(a,b,c,d)" terms into a DiagramCode."""
-    if not text.strip():
-        raise EmptyPDError("empty diagram code")
     tuples = []
-    for m in _TERM.finditer(text):
-        tuples.append(tuple(int(g) for g in m.groups()))
-    residue = _TERM.sub(" ", text).strip()
-    if residue:
-        raise PDSyntaxError("unrecognized input near %r" % residue.split()[0])
-    if any(e < 1 for t in tuples for e in t):
+    for a, b, c, d, bad in _TOKEN.findall(text):
+        if bad:
+            # the residue left by the terms starts at the first such character
+            residue = _TERM.sub(" ", text).split()
+            raise PDSyntaxError("unrecognized input near %r" % residue[0])
+        tuples.append((int(a), int(b), int(c), int(d)))
+    if not tuples:
+        raise EmptyPDError("empty diagram code")
+    if min(map(min, tuples)) < 1:
         raise PDSyntaxError("arc labels must be positive integers")
     return DiagramCode.from_tuples(tuples)
 
@@ -151,134 +159,178 @@ def load_fixture_file(path):
     return out
 
 
-def _validate_labels(tuples):
-    """The labels of `tuples`, each of which must end exactly two arcs."""
+def _arc_ends(tuples, labels):
+    """other[i] for every incidence i = 4c + s: the incidence at the other
+    end of the arc at slot s of crossing c. The same pass over the labels
+    checks that they are exactly 1..2n, each at two ends; any fault is
+    reported as `_label_error` finds it."""
+    top = 2 * len(tuples)
+    if tuples and (
+        set(map(len, tuples)) != {4}
+        or not all(issubclass(t, int) for t in set(map(type, labels)))
+        or min(labels) < 1
+        or max(labels) > top
+    ):
+        raise _label_error(tuples)
+    first = [-1] * (top + 1)
+    other = [-1] * len(labels)
+    for i, e in enumerate(labels):
+        j = first[e]
+        if j < 0:
+            first[e] = i
+        elif other[j] < 0:
+            other[i] = j
+            other[j] = i
+        else:
+            raise _label_error(tuples)
+    # 4n ends on 2n labels, none with a third end: each has exactly two
+    return other
+
+
+def _label_error(tuples):
+    """The error for crossings whose labels are not exactly 1..2n, each at
+    two ends: every label without two ends, as given, or else the range."""
     counts = Counter(chain.from_iterable(tuples))
     bad = sorted(e for e, k in counts.items() if k != 2)
     if bad:
-        raise ArcMultiplicityError("arc labels without exactly two ends: %s" % bad)
-    return counts
+        return ArcMultiplicityError("arc labels without exactly two ends: %s" % bad)
+    return PDSyntaxError("arc labels are not exactly 1..%d" % (2 * len(tuples)))
 
 
 class _Geometry:
-    """What one walk along the strand of a code determines: the strict
-    tuples and crossing signs, the direction of every arc, the faces of
-    the rotation system and the circles of the oriented smoothing. Built
-    once per code, by `DiagramCode`, and once per Vogel move; the walk and
-    the face count raise a `ValueError` subclass when the tuples are not a
-    planar knot diagram. The circles and the crossings alone give the
-    circle order of a braided diagram (`braided_path`)."""
+    """What one walk along the strand of a code determines, on flat integer
+    lists. Incidence i = 4c + s is slot s of crossing c: `labels[i]` is
+    its arc label and `other[i]` the incidence at the other end of that
+    arc, both filled by one pass that also checks the labels.
+
+    - The walk is the cycle of i -> other[i ^ 2] (arrive at a slot, leave
+      by the opposite one) from other[2], the arc leaving crossing 0 along
+      its under-strand. `walk` lists the arrival incidences in walk order,
+      and `head[e]` is the one where arc e arrives, so it leaves at
+      `other[head[e]]`. The walk gives the crossing signs, and raises a
+      `ValueError` subclass unless the code is a strict knot diagram.
+    - The faces are the cycles of i -> other[(i & ~3) | ((i + 1) & 3)]
+      (leave by the next slot counterclockwise, keeping the face on one
+      side), visited in increasing i. `face_of[4c + k]` is the face at the
+      corner between slots k and k + 1; a planar code has n + 2 faces.
+    - The Seifert circles of the oriented smoothing (`succ`, `circles`,
+      `circle_of`, indexed by arc label) are worked out on first read, as
+      only the Seifert side reads them. Circles are numbered in order of
+      their least label.
+
+    Built once per code, by `DiagramCode`, and once per Vogel move. The
+    circles and the crossings alone give the circle order of a braided
+    diagram (`braided_path`)."""
 
     def __init__(self, tuples):
         self.n = len(tuples)
+        self.tuples = tuple(tuples)
+        self.labels = list(chain.from_iterable(tuples))
+        self.other = _arc_ends(tuples, self.labels)
         if self.n == 0:
-            self.tuples, self.signs = (), ()
+            self.signs = ()
             return
-        self._walk(tuples)
+        self._walk()
         self._faces()
-        self._circles()
 
-    def _walk(self, tuples):
-        # Follow the strand from the outgoing under-slot of crossing 0,
-        # checking under-strand directions and reading off crossing signs.
-        n = self.n
-        incid = self.incid = defaultdict(list)
-        for c, t in enumerate(tuples):
-            for s, e in enumerate(t):
-                incid[e].append((c, s))
-        over_seen = set()
-        head = self.head = {}
-        tail = self.tail = {tuples[0][2]: (0, 2)}
-        cur_edge, departure = tuples[0][2], (0, 2)
-        walked = 0
-        while True:
-            pair = incid[cur_edge]
-            arr = pair[1] if pair[0] == departure else pair[0]
-            head[cur_edge] = arr
-            c, s = arr
+    def _walk(self):
+        n, other = self.n, self.other
+        signs = [0] * n
+        walk = []
+        a = other[2]
+        while a:
+            walk.append(a)
+            s = a & 3
             if s == 2:
                 raise PDSyntaxError(
-                    "under-strand enters crossing %d at its outgoing slot" % c
+                    "under-strand enters crossing %d at its outgoing slot" % (a >> 2)
                 )
-            if s != 0:
-                if c in over_seen:
-                    raise MultiComponentError("strand revisits crossing %d" % c)
-                over_seen.add(c)
-            walked += 1
-            departure = (c, (s + 2) % 4)
-            if departure == (0, 2):
-                break
-            cur_edge = tuples[c][departure[1]]
-            tail[cur_edge] = departure
-            if walked > 2 * n:
-                raise MultiComponentError("strand walk does not close properly")
-        if walked < 2 * n:
+            if s:
+                # positive exactly when the over-strand enters at slot d. No
+                # over-strand is entered twice before the walk fails or
+                # ends: the second entry would follow an arrival at the slot
+                # opposite one already reached, which is a slot-2 arrival,
+                # the end at slot 0 of crossing 0 or an earlier second entry
+                signs[a >> 2] = s - 2
+            a = other[a ^ 2]
+        walk.append(0)
+        if len(walk) < 2 * n:
             raise MultiComponentError(
-                "closed strand covers %d of %d arcs" % (walked, 2 * n)
+                "closed strand covers %d of %d arcs" % (len(walk), 2 * n)
             )
-        self.tuples = tuple(tuples)
-        # positive exactly when the over-strand enters at slot d
-        self.signs = tuple(
-            1 if head[t[3]] == (c, 3) else -1 for c, t in enumerate(tuples)
-        )
+        self.walk = walk
+        self.signs = tuple(signs)
+        head = self.head = [0] * (2 * n + 1)
+        labels = self.labels
+        for a in walk:
+            head[labels[a]] = a
 
     def _faces(self):
-        # a directed arc is named by the incidence (crossing, slot) it
-        # arrives at; the face traversal exits at the next slot
-        # counterclockwise, keeping one fixed side of the arc, so
-        # face_of[c, k] is the face at the corner between slots k and k+1
-        self.face_of = {}
-        self.faces = []
-        for c0 in range(self.n):
-            for s0 in range(4):
-                if (c0, s0) in self.face_of:
-                    continue
-                orbit = []
-                cur = (c0, s0)
-                while cur not in self.face_of:
-                    self.face_of[cur] = len(self.faces)
-                    orbit.append(cur)
-                    c, s = cur
-                    out_slot = (s + 1) % 4
-                    e = self.tuples[c][out_slot]
-                    pair = self.incid[e]
-                    cur = pair[1] if pair[0] == (c, out_slot) else pair[0]
-                self.faces.append(orbit)
-        if len(self.faces) != self.n + 2:
+        other = self.other
+        m = len(other)
+        # nxt[i] = other[next slot counterclockwise from i]
+        nxt = [0] * m
+        nxt[0::4], nxt[1::4], nxt[2::4], nxt[3::4] = (
+            other[1::4], other[2::4], other[3::4], other[0::4]
+        )
+        face_of = [-1] * m
+        faces = []
+        for i0 in range(m):
+            if face_of[i0] < 0:
+                f = face_of[i0] = len(faces)
+                orbit = [i0]
+                i = nxt[i0]
+                while i != i0:
+                    face_of[i] = f
+                    orbit.append(i)
+                    i = nxt[i]
+                faces.append(orbit)
+        if len(faces) != self.n + 2:
             raise PDSyntaxError(
                 "rotation system has %d faces, need %d: not a planar knot diagram"
-                % (len(self.faces), self.n + 2)
+                % (len(faces), self.n + 2)
             )
+        self.face_of = face_of
+        self.faces = faces
 
-    def _circles(self):
-        # oriented smoothing: each arc's successor around its Seifert circle
-        succ = {}
-        succ_crossing = {}
-        for c, (t, sg) in enumerate(zip(self.tuples, self.signs)):
-            a, b, cc, dd = t
-            if sg > 0:
-                pairs = ((a, b), (dd, cc))
-            else:
-                pairs = ((a, dd), (b, cc))
-            for e_in, e_out in pairs:
-                succ[e_in] = e_out
-                succ_crossing[e_in] = c
-        self.succ = succ
-        self.succ_crossing = succ_crossing
+    @cached_property
+    def succ(self):
+        """succ[e]: the arc after arc e on its Seifert circle, which goes on
+        from the under-strand to the outgoing over-slot (1 at a positive
+        crossing, 3 at a negative one) and from the over-strand to slot 2.
+        The crossing between them is `head[e] >> 2`."""
+        labels, signs = self.labels, self.signs
+        succ = [0] * len(self.head)
+        for e in range(1, len(succ)):
+            a = self.head[e]
+            c = a >> 2
+            succ[e] = labels[4 * c + (2 if a & 3 else 2 - signs[c])]
+        return succ
+
+    @cached_property
+    def circles(self):
+        """The Seifert circles, each the list of its arcs from its least."""
+        succ = self.succ
+        seen = [False] * len(succ)
         circles = []
-        circle_of = {}
-        for e0 in sorted(succ):
-            if e0 in circle_of:
-                continue
-            cyc = []
-            e = e0
-            while e not in circle_of:
-                circle_of[e] = len(circles)
-                cyc.append(e)
-                e = succ[e]
-            circles.append(cyc)
-        self.circles = circles
-        self.circle_of = circle_of
+        for e in range(1, len(succ)):
+            if not seen[e]:
+                circle = []
+                while not seen[e]:
+                    seen[e] = True
+                    circle.append(e)
+                    e = succ[e]
+                circles.append(circle)
+        return circles
+
+    @cached_property
+    def circle_of(self):
+        """circle_of[e]: the index in `circles` of arc e's circle."""
+        circle_of = [-1] * len(self.succ)
+        for k, circle in enumerate(self.circles):
+            for e in circle:
+                circle_of[e] = k
+        return circle_of
 
     def braided_path(self):
         """Circle order of a braided diagram, read off its Seifert graph
@@ -287,9 +339,10 @@ class _Geometry:
         arcs all lie on that circle, comes first in face order. Only a
         diagram without a defect is asked, so a failed check here is a
         fault of this module."""
+        circle_of, labels = self.circle_of, self.labels
         nbrs = defaultdict(set)
         for c, t in enumerate(self.tuples):
-            ks = {self.circle_of[e] for e in t}
+            ks = {circle_of[e] for e in t}
             if len(ks) != 2:
                 raise RuntimeError("crossing %d does not join two circles" % c)
             k1, k2 = ks
@@ -297,7 +350,7 @@ class _Geometry:
             nbrs[k2].add(k1)
         outside = []
         for orbit in self.faces:
-            ks = {self.circle_of[self.tuples[c][s]] for c, s in orbit}
+            ks = {circle_of[labels[i]] for i in orbit}
             if len(ks) == 1:
                 outside.extend(ks)
         if len(outside) != 2:
@@ -316,16 +369,14 @@ class _Geometry:
         """Two arcs of one face, on distinct circles, with the face on the
         same side of both; present exactly when the diagram is not braided.
         Returns (arc_a, arc_b, side) with arc_a < arc_b."""
-        for f, orbit in enumerate(self.faces):
+        labels, head, circle_of = self.labels, self.head, self.circle_of
+        for orbit in self.faces:
             entries = []
-            for (c, s) in orbit:
-                e = self.tuples[c][s]
-                side = 1 if self.head[e] == (c, s) else 0
-                entries.append((side, self.circle_of[e], e))
+            for i in orbit:
+                e = labels[i]
+                entries.append((1 if head[e] == i else 0, circle_of[e], e))
             entries.sort()
-            for i in range(len(entries) - 1):
-                s1, k1, e1 = entries[i]
-                s2, k2, e2 = entries[i + 1]
+            for (s1, k1, e1), (s2, k2, e2) in zip(entries, entries[1:]):
                 if s1 == s2 and k1 != k2:
                     return min(e1, e2), max(e1, e2), s1
         return None
@@ -339,21 +390,24 @@ def checkerboard(d):
     g = d._geom
     if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
-    # the face left of the walk changes colour at every crossing, and head
-    # lists the arcs in walk order; a colouring that is not a checkerboard
-    # leaves some crossing without a diagonal white pair
+    # the face left of the walk changes colour at every crossing; at an
+    # arrival a = 4c + s it is the corner between slots s - 1 and s, and
+    # the face right of the walk the one between s and s + 1. A colouring
+    # that is not a checkerboard leaves some crossing without a diagonal
+    # white pair
+    face_of = g.face_of
     colour = [0] * len(g.faces)
-    for i, (c, s) in enumerate(g.head.values()):
-        colour[g.face_of[c, (s - 1) % 4]] = i % 2
-        colour[g.face_of[c, s]] = 1 - i % 2
-    outer = g.face_of[0, 0]
+    for i, a in enumerate(g.walk):
+        colour[face_of[(a & ~3) | ((a - 1) & 3)]] = i % 2
+        colour[face_of[a]] = 1 - i % 2
+    outer = face_of[0]
     white = colour[outer]
     whites = [f for f in range(len(g.faces)) if colour[f] == white and f != outer]
     windex = {f: i for i, f in enumerate(whites)}
     off = defaultdict(Counter)
     correction = 0
     for c in range(d.n):
-        corners = [g.face_of[c, k] for k in range(4)]
+        corners = face_of[4 * c:4 * c + 4]
         ks = [k for k in range(4) if colour[corners[k]] == white]
         if ks == [0, 2]:
             orient = 1
@@ -396,8 +450,8 @@ def _vogel_move(geom, defect):
     tuples = [list(t) for t in geom.tuples]
     base = 2 * geom.n
     a2, a3, b2, b3 = base + 1, base + 2, base + 3, base + 4
-    ca, sa = geom.head[ea]
-    cb, sb = geom.head[eb]
+    ca, sa = divmod(geom.head[ea], 4)
+    cb, sb = divmod(geom.head[eb], 4)
     tuples[ca][sa] = a3
     tuples[cb][sb] = b3
     a1, b1 = ea, eb
@@ -407,7 +461,6 @@ def _vogel_move(geom, defect):
         xa, xb = (b2, a1, b3, a2), (b1, a3, b2, a2)
     tuples = [tuple(t) for t in tuples] + [xa, xb]
     try:
-        _validate_labels(tuples)
         return _Geometry(tuples)
     except ValueError as err:
         raise RuntimeError("coherence move made an invalid code: %s" % err) from err
@@ -437,27 +490,28 @@ def braid_word(d):
     # face, so cutting along them unrolls the diagram into an open braid;
     # of the two faces beside a seam arc only the one toward the next
     # circle has arcs on it
-    seam = [min(geom.circles[order[0]])]
+    labels, head, circle_of = geom.labels, geom.head, geom.circle_of
+    seam = [geom.circles[order[0]][0]]
     for k in order[1:]:
-        e = seam[-1]
+        a = head[seam[-1]]
         candidates = [
-            geom.tuples[c][s]
-            for f in (geom.face_of[geom.head[e]], geom.face_of[geom.tail[e]])
-            for (c, s) in geom.faces[f]
-            if geom.circle_of[geom.tuples[c][s]] == k
+            labels[i]
+            for f in (geom.face_of[a], geom.face_of[geom.other[a]])
+            for i in geom.faces[f]
+            if circle_of[labels[i]] == k
         ]
         if not candidates:
             raise RuntimeError("seam cannot reach the next circle")
         seam.append(min(candidates))
 
+    succ = geom.succ
     chains = []
-    for i, k in enumerate(order):
-        e0 = seam[i]
+    for e0 in seam:
         chain = []
         e = e0
         while True:
-            chain.append(geom.succ_crossing[e])
-            e = geom.succ[e]
+            chain.append(head[e] >> 2)
+            e = succ[e]
             if e == e0:
                 break
         chains.append(chain)
@@ -483,8 +537,7 @@ def braid_word(d):
 
     letters = []
     for c in out:
-        t = geom.tuples[c]
-        ks = sorted({pos[geom.circle_of[e]] for e in t})
+        ks = sorted({pos[circle_of[e]] for e in geom.tuples[c]})
         if len(ks) != 2 or ks[1] != ks[0] + 1:
             raise RuntimeError("crossing joins non-adjacent circles")
         letters.append(geom.signs[c] * ks[0])
@@ -529,12 +582,11 @@ def insert_kink(d, sign=1, edge=None):
     if d.n == 0:
         t = (1, 1, 2, 2) if sign > 0 else (1, 2, 2, 1)
         return DiagramCode([t])
-    geom = d._geom
     if edge is None:
-        edge = min(geom.incid)
-    if edge not in geom.incid:
+        edge = 1
+    if not (isinstance(edge, int) and 1 <= edge <= 2 * d.n):
         raise ValueError("no arc labelled %r" % (edge,))
-    c, s = geom.head[edge]
+    c, s = divmod(d._geom.head[edge], 4)
     tuples = [list(t) for t in d.crossings]
     e2, x = 2 * d.n + 1, 2 * d.n + 2
     tuples[c][s] = e2

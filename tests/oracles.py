@@ -6,14 +6,19 @@ hand-rolled Sturm chain over Fractions, the package's former dense
 elimination is kept as a second inertia reference, the twisting parameter
 is found by a numpy grid scan and by an exact scan of lines of fixed q, and
 the torus correction term is recomputed one reduction rule at a time with
-no closed-form shortcuts.
+no closed-form shortcuts, and the diagram geometry is rebuilt by the
+package's former dict-based walk.
 """
 
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import sympy
+
+from knotsig.diagram import ArcMultiplicityError, MultiComponentError, PDSyntaxError
 
 
 def brute_force_twisting(cl, tol=1e-9):
@@ -248,3 +253,197 @@ def inertia_dense_reference(rows):
             for j in range(k, n):
                 a[j][i] = c * a[j][i] - s * a[j][k]
     return (n_pos, n_neg, n_zero)
+
+
+def geometry_reference(tuples):
+    """The package's former geometry of a code: its label checks (every
+    label at two ends, then exactly 1..2n), then the walk, faces and
+    circles on tuple-keyed dicts. Incidences are (crossing, slot) pairs
+    and arcs are keyed by label."""
+    tuples = tuple(map(tuple, tuples))
+    labels, top = _validate_labels(tuples), 2 * len(tuples)
+    if len(labels) != top or not all(
+        isinstance(e, int) and 0 < e <= top for e in labels
+    ):
+        raise PDSyntaxError("arc labels are not exactly 1..%d" % top)
+    return GeometryReference(tuples)
+
+
+def _validate_labels(tuples):
+    """The labels of `tuples`, each of which must end exactly two arcs."""
+    counts = Counter(chain.from_iterable(tuples))
+    bad = sorted(e for e, k in counts.items() if k != 2)
+    if bad:
+        raise ArcMultiplicityError("arc labels without exactly two ends: %s" % bad)
+    return counts
+
+
+class GeometryReference:
+    """What one walk along the strand of a code determines: the strict
+    tuples and crossing signs, the direction of every arc, the faces of
+    the rotation system and the circles of the oriented smoothing. Built
+    once per code, by `DiagramCode`, and once per Vogel move; the walk and
+    the face count raise a `ValueError` subclass when the tuples are not a
+    planar knot diagram. The circles and the crossings alone give the
+    circle order of a braided diagram (`braided_path`)."""
+
+    def __init__(self, tuples):
+        self.n = len(tuples)
+        if self.n == 0:
+            self.tuples, self.signs = (), ()
+            return
+        self._walk(tuples)
+        self._faces()
+        self._circles()
+
+    def _walk(self, tuples):
+        # Follow the strand from the outgoing under-slot of crossing 0,
+        # checking under-strand directions and reading off crossing signs.
+        n = self.n
+        incid = self.incid = defaultdict(list)
+        for c, t in enumerate(tuples):
+            for s, e in enumerate(t):
+                incid[e].append((c, s))
+        over_seen = set()
+        head = self.head = {}
+        tail = self.tail = {tuples[0][2]: (0, 2)}
+        cur_edge, departure = tuples[0][2], (0, 2)
+        walked = 0
+        while True:
+            pair = incid[cur_edge]
+            arr = pair[1] if pair[0] == departure else pair[0]
+            head[cur_edge] = arr
+            c, s = arr
+            if s == 2:
+                raise PDSyntaxError(
+                    "under-strand enters crossing %d at its outgoing slot" % c
+                )
+            if s != 0:
+                if c in over_seen:
+                    raise MultiComponentError("strand revisits crossing %d" % c)
+                over_seen.add(c)
+            walked += 1
+            departure = (c, (s + 2) % 4)
+            if departure == (0, 2):
+                break
+            cur_edge = tuples[c][departure[1]]
+            tail[cur_edge] = departure
+            if walked > 2 * n:
+                raise MultiComponentError("strand walk does not close properly")
+        if walked < 2 * n:
+            raise MultiComponentError(
+                "closed strand covers %d of %d arcs" % (walked, 2 * n)
+            )
+        self.tuples = tuple(tuples)
+        # positive exactly when the over-strand enters at slot d
+        self.signs = tuple(
+            1 if head[t[3]] == (c, 3) else -1 for c, t in enumerate(tuples)
+        )
+
+    def _faces(self):
+        # a directed arc is named by the incidence (crossing, slot) it
+        # arrives at; the face traversal exits at the next slot
+        # counterclockwise, keeping one fixed side of the arc, so
+        # face_of[c, k] is the face at the corner between slots k and k+1
+        self.face_of = {}
+        self.faces = []
+        for c0 in range(self.n):
+            for s0 in range(4):
+                if (c0, s0) in self.face_of:
+                    continue
+                orbit = []
+                cur = (c0, s0)
+                while cur not in self.face_of:
+                    self.face_of[cur] = len(self.faces)
+                    orbit.append(cur)
+                    c, s = cur
+                    out_slot = (s + 1) % 4
+                    e = self.tuples[c][out_slot]
+                    pair = self.incid[e]
+                    cur = pair[1] if pair[0] == (c, out_slot) else pair[0]
+                self.faces.append(orbit)
+        if len(self.faces) != self.n + 2:
+            raise PDSyntaxError(
+                "rotation system has %d faces, need %d: not a planar knot diagram"
+                % (len(self.faces), self.n + 2)
+            )
+
+    def _circles(self):
+        # oriented smoothing: each arc's successor around its Seifert circle
+        succ = {}
+        succ_crossing = {}
+        for c, (t, sg) in enumerate(zip(self.tuples, self.signs)):
+            a, b, cc, dd = t
+            if sg > 0:
+                pairs = ((a, b), (dd, cc))
+            else:
+                pairs = ((a, dd), (b, cc))
+            for e_in, e_out in pairs:
+                succ[e_in] = e_out
+                succ_crossing[e_in] = c
+        self.succ = succ
+        self.succ_crossing = succ_crossing
+        circles = []
+        circle_of = {}
+        for e0 in sorted(succ):
+            if e0 in circle_of:
+                continue
+            cyc = []
+            e = e0
+            while e not in circle_of:
+                circle_of[e] = len(circles)
+                cyc.append(e)
+                e = succ[e]
+            circles.append(cyc)
+        self.circles = circles
+        self.circle_of = circle_of
+
+    def braided_path(self):
+        """Circle order of a braided diagram, read off its Seifert graph
+        (circles as vertices, crossings as edges), which is then a path.
+        The walk starts at the end whose outside face, the one face whose
+        arcs all lie on that circle, comes first in face order. Only a
+        diagram without a defect is asked, so a failed check here is a
+        fault of this module."""
+        nbrs = defaultdict(set)
+        for c, t in enumerate(self.tuples):
+            ks = {self.circle_of[e] for e in t}
+            if len(ks) != 2:
+                raise RuntimeError("crossing %d does not join two circles" % c)
+            k1, k2 = ks
+            nbrs[k1].add(k2)
+            nbrs[k2].add(k1)
+        outside = []
+        for orbit in self.faces:
+            ks = {self.circle_of[self.tuples[c][s]] for c, s in orbit}
+            if len(ks) == 1:
+                outside.extend(ks)
+        if len(outside) != 2:
+            raise RuntimeError("%d faces lie on one circle, need 2" % len(outside))
+        order = [outside[0]]
+        while len(order) < len(self.circles):
+            step = nbrs[order[-1]].difference(order[-2:])
+            if len(step) != 1:
+                break
+            order.extend(step)
+        if len(set(order)) != len(self.circles) or order[-1] != outside[1]:
+            raise RuntimeError("Seifert graph is not a path between the outside faces")
+        return order
+
+    def defect(self):
+        """Two arcs of one face, on distinct circles, with the face on the
+        same side of both; present exactly when the diagram is not braided.
+        Returns (arc_a, arc_b, side) with arc_a < arc_b."""
+        for f, orbit in enumerate(self.faces):
+            entries = []
+            for (c, s) in orbit:
+                e = self.tuples[c][s]
+                side = 1 if self.head[e] == (c, s) else 0
+                entries.append((side, self.circle_of[e], e))
+            entries.sort()
+            for i in range(len(entries) - 1):
+                s1, k1, e1 = entries[i]
+                s2, k2, e2 = entries[i + 1]
+                if s1 == s2 and k1 != k2:
+                    return min(e1, e2), max(e1, e2), s1
+        return None

@@ -116,8 +116,17 @@ class TestPlatClosure:
         assert all(c == 2 for c in counts.values())
 
     def test_odd_strands_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="even strand count"):
             braid.plat_closure_tuples([1], strands=3)
+        with pytest.raises(ValueError, match="even strand count"):
+            braid.plat_closure_tuples([2])
+
+    @pytest.mark.parametrize("strands", [2, 0, -4])
+    def test_too_few_strands_rejected(self, strands):
+        # [3] needs 4 strands; 0 is a count like any other, not "not given"
+        with pytest.raises(ValueError, match="needs 4 strands"):
+            braid.plat_closure_tuples([3], strands)
+        assert len(braid.plat_closure_tuples([3], 6)) == 1
 
 
 class TestSeifertMatrix:

@@ -7,6 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from oracles import geometry_reference
+
 from knotsig import braid, diagram
 from knotsig.diagram import (
     ArcMultiplicityError,
@@ -23,6 +25,7 @@ from knotsig.diagram import (
     seifert_matrix,
     seifert_signature,
 )
+from knotsig.torus import torus_pd
 
 TREFOIL_TEXT = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 CORPUS = str(importlib.resources.files("knotsig") / "data" / "corpus.tsv")
@@ -85,6 +88,21 @@ class TestParse:
             parse_pd("X(2,4,3,1) X(4,6,5,3) X(1,5,7,8) X(6,2,8,7)")
         assert plat([2, 2, -1, 2]).n == 4
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X(1,4,2,5) Y(3,6,4,1)", "unrecognized input near 'Y(3,6,4,1)'"),
+            ("X(1,2,3,4) junk", "unrecognized input near 'junk'"),
+            ("junkX(1,2,3,4) X(5,6,7,8)", "unrecognized input near 'junk'"),
+            ("X(1,4,2)", "unrecognized input near 'X(1,4,2)'"),
+            ("X(0,1,0,1)", "arc labels must be positive integers"),
+        ],
+    )
+    def test_syntax_messages(self, text, message):
+        with pytest.raises(PDSyntaxError) as err:
+            parse_pd(text)
+        assert str(err.value) == message
+
     def test_round_trip(self):
         d = parse_pd(TREFOIL_TEXT)
         assert parse_pd(pd_text(d)) == d
@@ -146,6 +164,8 @@ class TestParse:
             ([(2, 5, 3, 6), (4, 7, 5, 2), (6, 3, 7, 4)], PDSyntaxError),
             # the left trefoil with label 6 renamed 9
             ([(1, 4, 2, 5), (3, 9, 4, 1), (5, 2, 9, 3)], PDSyntaxError),
+            # the left trefoil with every label times ten
+            ([(10, 40, 20, 50), (30, 60, 40, 10), (50, 20, 60, 30)], PDSyntaxError),
             ([("a", "b", "a", "b")], PDSyntaxError),
             # three-slot crossings: three labels where 1..4 are needed
             ([(1, 1, 2), (2, 3, 3)], PDSyntaxError),
@@ -153,12 +173,162 @@ class TestParse:
             ([(2, 4, 3, 1), (4, 2, 1, 3)], MultiComponentError),
             ([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 6)], ArcMultiplicityError),
         ],
-        ids=["non-strict", "labels-shifted", "label-gap", "labels-not-integers",
-             "three-slots", "two-components", "multiplicity"],
+        ids=["non-strict", "labels-shifted", "label-gap", "labels-times-ten",
+             "labels-not-integers", "three-slots", "two-components",
+             "multiplicity"],
     )
     def test_malformed_direct_code_raises_when_built(self, tuples, error):
         with pytest.raises(error):
             DiagramCode(tuples)
+
+
+class TestLabels:
+    LEFT_TREFOIL = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
+
+    def test_labels_1_to_2n_are_kept(self, monkeypatch):
+        def refuse(tuples):
+            raise AssertionError("labels 1..2n renamed")
+
+        monkeypatch.setattr(diagram, "relabel_tuples", refuse)
+        d = DiagramCode.from_tuples(self.LEFT_TREFOIL)
+        assert d.crossings == tuple(self.LEFT_TREFOIL)
+        tuples = torus_pd(5, 41).crossings
+        assert DiagramCode.from_tuples(tuples).crossings == tuples
+
+    def test_other_labels_are_renamed_in_order(self):
+        scaled = [tuple(10 * e for e in t) for t in self.LEFT_TREFOIL]
+        assert DiagramCode.from_tuples(scaled).crossings == tuple(self.LEFT_TREFOIL)
+        shifted = [tuple(e + 1 for e in t) for t in self.LEFT_TREFOIL]
+        assert DiagramCode.from_tuples(shifted).crossings == tuple(self.LEFT_TREFOIL)
+
+    @pytest.mark.parametrize(
+        "tuples, bad",
+        [
+            ([(10, 40, 20, 50), (30, 60, 40, 10), (50, 20, 60, 60)], "[30, 60]"),
+            ([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 6)], "[3, 6]"),
+            ([(1, 4, 2, 5), (3, 7, 4, 1), (5, 2, 6, 3)], "[6, 7]"),
+        ],
+    )
+    def test_multiplicity_error_names_the_given_labels(self, tuples, bad):
+        with pytest.raises(ArcMultiplicityError) as err:
+            DiagramCode.from_tuples(tuples)
+        assert str(err.value) == "arc labels without exactly two ends: " + bad
+
+
+def assert_same_geometry(tuples):
+    """The geometry of `tuples` equals the reference's field by field, with
+    incidence 4c + s read as the pair (c, s) and arcs keyed by label."""
+    ref = geometry_reference(tuples)
+    geom = diagram._Geometry(tuple(map(tuple, tuples)))
+    assert geom.signs == ref.signs
+    if not tuples:
+        return
+    assert [divmod(a, 4) for a in geom.walk] == list(ref.head.values())
+    assert {e: divmod(a, 4) for e, a in enumerate(geom.head) if e} == ref.head
+    assert [[divmod(i, 4) for i in orbit] for orbit in geom.faces] == ref.faces
+    assert {divmod(i, 4): f for i, f in enumerate(geom.face_of)} == ref.face_of
+    assert geom.circles == ref.circles
+    assert {e: k for e, k in enumerate(geom.circle_of) if e} == ref.circle_of
+    assert {e: s for e, s in enumerate(geom.succ) if e} == ref.succ
+    assert {e: geom.head[e] >> 2 for e in ref.succ} == ref.succ_crossing
+    defect = geom.defect()
+    assert defect == ref.defect()
+    if defect is None:
+        assert geom.braided_path() == ref.braided_path()
+
+
+def random_plats(rng, count):
+    out = []
+    while len(out) < count:
+        strands = rng.choice((4, 6, 8))
+        word = [
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(1, 3 * strands))
+        ]
+        tuples = braid.plat_closure_tuples(word, strands)
+        try:
+            out.append(DiagramCode.from_tuples(tuples).crossings)
+        except MultiComponentError:
+            pass
+    return out
+
+
+class TestGeometryReference:
+    def test_corpus_mirrors_and_kinks(self):
+        for d in diagram.load_fixture_file(CORPUS).values():
+            for code in (d, mirror_diagram(d), insert_kink(d, 1), insert_kink(d, -1)):
+                assert_same_geometry(code.crossings)
+
+    def test_random_braids_plats_and_a_torus_knot(self):
+        # the 200 words of acceptance criterion 3
+        rng = random.Random(20260818)
+        for _ in range(200):
+            strands = rng.randint(2, 5)
+            length = rng.randint(strands + 3, 40)
+            if (length - (strands - 1)) % 2:
+                length -= 1
+            word = braid.random_knot_word(rng, strands, length)
+            assert_same_geometry(braid.trace_closure_tuples(word))
+        for tuples in random_plats(random.Random(3), 100):
+            assert_same_geometry(tuples)
+        assert_same_geometry(torus_pd(5, 41).crossings)
+        assert_same_geometry([])
+
+    @pytest.mark.parametrize(
+        "tuples",
+        [
+            # under-strand entering at slot 2: the all-upward plat [2, 2, -1, 2]
+            [(2, 4, 3, 1), (4, 6, 5, 3), (1, 5, 7, 8), (6, 2, 8, 7)],
+            [(4, 1, 2, 1), (4, 3, 2, 3)],
+            # a short walk: a Hopf link, and an arc from slot 2 back to slot 0
+            [(2, 4, 3, 1), (4, 2, 1, 3)],
+            [(1, 2, 1, 2)],
+            # a rotation system with too few faces
+            [(3, 2, 1, 4), (2, 1, 3, 4)],
+            # labels out of range, or without exactly two ends
+            [(2, 5, 3, 6), (4, 7, 5, 2), (6, 3, 7, 4)],
+            [(0, 1, 0, 1)],
+            [(-1, 1, -1, 1)],
+            [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 6)],
+            [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 7)],
+            [(1, 1, 1, 1)],
+            # not four integer slots
+            [(1, 1, 2), (2, 3, 3)],
+            [()],
+            [("a", "b", "a", "b")],
+            [(1.0, 2, 1.0, 2)],
+        ],
+    )
+    def test_malformed_codes_raise_as_the_reference(self, tuples):
+        with pytest.raises(ValueError) as ref:
+            geometry_reference(tuples)
+        with pytest.raises(ValueError) as new:
+            DiagramCode(tuples)
+        assert type(new.value) is type(ref.value)
+        assert str(new.value) == str(ref.value)
+
+    def test_random_codes_raise_as_the_reference(self):
+        # every arrangement of the labels 1..2n, each twice, into n crossings;
+        # the reference's "strand revisits crossing" never comes first, as
+        # the slot-2 arrival or the end of the walk it needs comes before it
+        rng = random.Random(4)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            labels = [e for e in range(1, 2 * n + 1) for _ in (0, 1)]
+            rng.shuffle(labels)
+            tuples = [tuple(labels[4 * c:4 * c + 4]) for c in range(n)]
+            try:
+                geometry_reference(tuples)
+            except ValueError as err:
+                with pytest.raises(type(err)) as new:
+                    DiagramCode(tuples)
+                assert str(new.value) == str(err), tuples
+                outcomes.add(str(err).split(" ")[0])
+            else:
+                assert_same_geometry(tuples)
+                outcomes.add("valid")
+        assert outcomes == {"valid", "under-strand", "closed", "rotation"}
 
 
 class TestCheckerboard:
