@@ -19,10 +19,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import sympy
 
-from knotsig.braid import plat_closure_tuples
+from diagrams import plat_closure_tuples
 from knotsig.diagram import (
     DiagramCode,
     checkerboard,

@@ -93,57 +93,6 @@ def trace_closure_tuples(word):
     return relabel_tuples(out)
 
 
-def plat_closure_tuples(word, strands=None):
-    """PD tuples of the plat closure, in the strict convention: caps join
-    positions (1,2), (3,4), ... at both ends. Plat strands alternate
-    direction, so the closure is walked once from crossing 0 as written and
-    every crossing whose under-strand the walk enters at slot 2 is turned by
-    two slots; crossings off the walked component of a link stay as built.
-    The strand count defaults to the word's own and may exceed it.
-    """
-    need = word_strands(word)
-    if strands is None:
-        strands = need
-    elif strands < need:
-        raise ValueError("word needs %d strands, more than %d" % (need, strands))
-    if strands % 2:
-        raise ValueError("plat closure needs an even strand count")
-    tuples, top = _letter_tuples(word, strands)
-
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for k in range(0, strands, 2):
-        union(k + 1, k + 2)
-        union(top[k], top[k + 1])
-    out = relabel_tuples([tuple(find(e) for e in t) for t in tuples])
-    if not out:
-        return out
-    ends = {}
-    for c, t in enumerate(out):
-        for s, e in enumerate(t):
-            ends.setdefault(e, []).append((c, s))
-    turned, departure = set(), (0, 2)
-    while True:
-        pair = ends[out[departure[0]][departure[1]]]
-        c, s = pair[1] if pair[0] == departure else pair[0]
-        if s == 2:
-            turned.add(c)
-        departure = (c, (s + 2) % 4)
-        if departure == (0, 2):
-            break
-    return [t[2:] + t[:2] if c in turned else t for c, t in enumerate(out)]
-
-
 def full_twist_word(start, size):
     """One full twist on `size` adjacent strands starting at position
     `start`: (sigma_start ... sigma_{start+size-2})^size."""
@@ -201,19 +150,3 @@ def collins_seifert_matrix(word):
                     elif g[0] < h[0] < g[1] < h[1]:
                         v[index[k + 1, l]][index[k, m]] = -1
     return v
-
-
-def random_knot_word(rng, strands, length, max_tries=20000):
-    """Random word of the given length whose trace closure is a knot;
-    deterministic for a seeded rng. Letters are transpositions, so the
-    closure can only be a knot when length and strands-1 have equal parity.
-    """
-    if strands < 2:
-        raise ValueError("need at least 2 strands")
-    if (length - (strands - 1)) % 2:
-        raise ValueError("no knot closures: length %d has wrong parity for %d strands" % (length, strands))
-    for _ in range(max_tries):
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
-        if word_strands(word) == strands and closure_is_knot(word):
-            return word
-    raise RuntimeError("no knot closure found; implausible parameters")

@@ -210,7 +210,12 @@ class StatsReport:
 
 def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
     """Fold derived rows into a StatsReport; derive() routes through here,
-    so re-aggregating a report's rows reproduces the report."""
+    so re-aggregating a report's rows reproduces the report. A non-finite
+    envelope constant is a ValueError."""
+    if not (math.isfinite(envelope_b) and math.isfinite(envelope_c)):
+        raise ValueError(
+            "envelope constants must be finite, got b=%r, c=%r" % (envelope_b, envelope_c)
+        )
     by_crossing = {}
     for d in derived:
         by_crossing.setdefault(d.row.crossings, []).append(d.c1)

@@ -155,8 +155,7 @@ def exceptional_window(slope, p):
     a given integer p >= 1: every slope outside it has length > 6."""
     if p < 1:
         raise ValueError("p must be a positive integer, got %r" % p)
-    if not math.isfinite(slope):
-        raise ValueError("slope must be finite, got %r" % slope)
+    _require_finite_slope(slope)
     return Interval(-slope - 6 / p, -slope + 6 / p)
 
 
@@ -180,6 +179,7 @@ def surgery_hyperbolic_certificate(g, p, q, c1):
 def genus_lower_bound(slope, integer=False):
     """Seifert-genus lower bound |slope|/(4*pi) + 1/2, optionally rounded
     up to the integer genus it implies."""
+    _require_finite_slope(slope)
     value = abs(slope) / (4 * math.pi) + 0.5
     if integer:
         return math.ceil(value - _TOL)
@@ -194,6 +194,11 @@ def g4_lower_bound(g, c1):
     slope = natural_slope(g.cusp)
     bound = abs(slope) / 4 - (c1 / 4) * g.volume / _inj_cubed(g)
     return _require_finite(bound, "4-genus bound", g)
+
+
+def _require_finite_slope(slope):
+    if not math.isfinite(slope):
+        raise ValueError("slope must be finite, got %r" % slope)
 
 
 def _require_finite_c1(c1):
@@ -239,6 +244,7 @@ def normalized_signature(g):
 
 def closest_even_integer(s):
     """Nearest even integer, ties toward the smaller absolute value."""
+    _require_finite_slope(s)
     k = math.floor(s / 2)
     lo, hi = 2 * k, 2 * k + 2
     d_lo, d_hi = s - lo, hi - s

@@ -92,7 +92,10 @@ class DiagramCode:
         1..2n, unless they are that already. Label ends are counted before
         any renaming, so that an error names the labels as given."""
         tuples = [tuple(t) for t in tuples]
-        ends = sorted(chain.from_iterable(tuples))
+        try:
+            ends = sorted(chain.from_iterable(tuples))
+        except TypeError:
+            raise _label_error(tuples) from None
         want = list(range(1, 2 * len(tuples) + 1))
         if ends[::2] != want or ends[1::2] != want:
             error = _label_error(tuples)
@@ -144,21 +147,6 @@ def pd_text(d):
     return " ".join("X(%d,%d,%d,%d)" % t for t in d.crossings)
 
 
-def load_fixture_file(path):
-    """Read a "name<TAB>pdcode" fixture file into an ordered dict."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, code = line.partition("\t")
-            if not code:
-                raise PDSyntaxError("line %d: expected name<TAB>pdcode" % lineno)
-            out[name.strip()] = parse_pd(code)
-    return out
-
-
 def _arc_ends(tuples, labels):
     """other[i] for every incidence i = 4c + s: the incidence at the other
     end of the arc at slot s of crossing c. The same pass over the labels
@@ -189,9 +177,13 @@ def _arc_ends(tuples, labels):
 
 def _label_error(tuples):
     """The error for crossings whose labels are not exactly 1..2n, each at
-    two ends: every label without two ends, as given, or else the range."""
-    counts = Counter(chain.from_iterable(tuples))
-    bad = sorted(e for e, k in counts.items() if k != 2)
+    two ends: every label without two ends, as given, or else the range.
+    Labels that cannot be counted or ordered are not integers."""
+    try:
+        counts = Counter(chain.from_iterable(tuples))
+        bad = sorted(e for e, k in counts.items() if k != 2)
+    except TypeError:
+        return PDSyntaxError("arc labels must be integers")
     if bad:
         return ArcMultiplicityError("arc labels without exactly two ends: %s" % bad)
     return PDSyntaxError("arc labels are not exactly 1..%d" % (2 * len(tuples)))
@@ -562,36 +554,3 @@ def seifert_signature(d):
             sym[i][j] += row[j]
             sym[j][i] += row[j]
     return signature(SymIntMatrix.from_nonzeros(sym))
-
-
-def mirror_diagram(d):
-    """Swap over- and under-strands everywhere (all signs flip)."""
-    out = []
-    for t, sg in zip(d.crossings, d.signs):
-        a, b, c, dd = t
-        if sg > 0:
-            out.append((dd, a, b, c))
-        else:
-            out.append((b, c, dd, a))
-    return DiagramCode(out)
-
-
-def insert_kink(d, sign=1, edge=None):
-    """Add a one-crossing curl of the given sign on an arc (the smallest
-    label by default)."""
-    if d.n == 0:
-        t = (1, 1, 2, 2) if sign > 0 else (1, 2, 2, 1)
-        return DiagramCode([t])
-    if edge is None:
-        edge = 1
-    if not (isinstance(edge, int) and 1 <= edge <= 2 * d.n):
-        raise ValueError("no arc labelled %r" % (edge,))
-    c, s = divmod(d._geom.head[edge], 4)
-    tuples = [list(t) for t in d.crossings]
-    e2, x = 2 * d.n + 1, 2 * d.n + 2
-    tuples[c][s] = e2
-    if sign > 0:
-        tuples.append((edge, e2, x, x))
-    else:
-        tuples.append((edge, x, x, e2))
-    return DiagramCode(tuples)

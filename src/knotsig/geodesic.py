@@ -1,6 +1,7 @@
 """Short-geodesic corrections: twisting parameters from complex lengths,
 drilled-tube lattice generators, and the corrected slope estimator."""
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -128,11 +129,20 @@ def _nearest(x, n):
 
 def tube_torus(cl, r):
     """Lattice generators (meridian, canonical longitude) of the boundary
-    torus of a radius-r tube around a geodesic of complex length cl."""
+    torus of a radius-r tube around a geodesic of complex length cl. A
+    generator that is not finite is a ValueError."""
     if not 0 < r < math.inf:
         raise ValueError("tube radius must be positive and finite, got %r" % r)
-    meridian = complex(0, _TWO_PI * math.sinh(r))
-    longitude = complex(math.cosh(r) * cl.real, math.sinh(r) * cl.imag)
+    try:
+        sinh, cosh = math.sinh(r), math.cosh(r)
+    except OverflowError:
+        sinh = cosh = math.inf
+    meridian = complex(0, _TWO_PI * sinh)
+    longitude = complex(cosh * cl.real, sinh * cl.imag)
+    if not (cmath.isfinite(meridian) and cmath.isfinite(longitude)):
+        raise ValueError(
+            "tube torus of radius %r around %r has a non-finite generator" % (r, cl)
+        )
     return meridian, longitude
 
 

@@ -83,10 +83,17 @@ def _kappa_pos(p, q):
                 p, q = q, 2 * q - p
 
 
+def _require_ints(p, q):
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise ValueError("need integers p and q, got (%r, %r)" % (p, q))
+
+
 def kappa(p, q):
     """The signature correction kappa(p,q), a half-integer defined for all
     integers by the reduction rules, the algebraic fixed points at p = q,
-    kappa(-p,q) = kappa(p,-q) = -kappa(p,q), and kappa = 0 on the axes."""
+    kappa(-p,q) = kappa(p,-q) = -kappa(p,q), and kappa = 0 on the axes.
+    Any other argument is a ValueError."""
+    _require_ints(p, q)
     if p == 0 or q == 0:
         return HalfInt(0)
     sign = 1
@@ -99,6 +106,7 @@ def kappa(p, q):
 
 def torus_signature(p, q):
     """sigma(T(p,q)) = -pq/2 - kappa(p,q), as an exact integer."""
+    _require_ints(p, q)
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1, got (%d, %d)" % (p, q))
     twice = -p * q - kappa(p, q).twice_value
@@ -112,6 +120,7 @@ def torus_signature(p, q):
 def torus_pd(p, q):
     """Diagram of the (p,q) torus knot as the closure of the p-strand
     braid (s_1 ... s_{p-1})^q, with q(p-1) crossings."""
+    _require_ints(p, q)
     if p < 2 or q < 1:
         raise ValueError("need p >= 2 and q >= 1, got (%d, %d)" % (p, q))
     if math.gcd(p, q) != 1:

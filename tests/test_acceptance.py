@@ -15,17 +15,12 @@ from fractions import Fraction
 
 import pytest
 
+from diagrams import load_fixture_file, random_knot_word
 from oracles import brute_force_twisting
 
 from knotsig import census
-from knotsig.braid import random_knot_word
 from knotsig.cusp import CuspShape, exceptional_window, natural_slope
-from knotsig.diagram import (
-    DiagramCode,
-    gl_signature,
-    load_fixture_file,
-    seifert_signature,
-)
+from knotsig.diagram import DiagramCode, gl_signature, seifert_signature
 from knotsig.geodesic import twisting_parameter
 from knotsig.torus import kappa, torus_pd, torus_signature
 from knotsig.twistfam import (

@@ -6,6 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from diagrams import plat_closure_tuples, random_knot_word
+
 from knotsig import braid
 from knotsig.exactlin import SymIntMatrix, signature
 
@@ -106,7 +108,7 @@ class TestTraceClosure:
 
 class TestPlatClosure:
     def test_trefoil_plat_shape(self):
-        tuples = braid.plat_closure_tuples([2, 2, 2], strands=4)
+        tuples = plat_closure_tuples([2, 2, 2], strands=4)
         assert len(tuples) == 3
         counts = {}
         for t in tuples:
@@ -117,16 +119,16 @@ class TestPlatClosure:
 
     def test_odd_strands_rejected(self):
         with pytest.raises(ValueError, match="even strand count"):
-            braid.plat_closure_tuples([1], strands=3)
+            plat_closure_tuples([1], strands=3)
         with pytest.raises(ValueError, match="even strand count"):
-            braid.plat_closure_tuples([2])
+            plat_closure_tuples([2])
 
     @pytest.mark.parametrize("strands", [2, 0, -4])
     def test_too_few_strands_rejected(self, strands):
         # [3] needs 4 strands; 0 is a count like any other, not "not given"
         with pytest.raises(ValueError, match="needs 4 strands"):
-            braid.plat_closure_tuples([3], strands)
-        assert len(braid.plat_closure_tuples([3], 6)) == 1
+            plat_closure_tuples([3], strands)
+        assert len(plat_closure_tuples([3], 6)) == 1
 
 
 class TestSeifertMatrix:
@@ -162,12 +164,12 @@ class TestSeifertMatrix:
 
 class TestRandomWords:
     def test_deterministic_and_knotted(self):
-        a = braid.random_knot_word(random.Random(7), 4, 11)
-        b = braid.random_knot_word(random.Random(7), 4, 11)
+        a = random_knot_word(random.Random(7), 4, 11)
+        b = random_knot_word(random.Random(7), 4, 11)
         assert a == b
         assert braid.word_strands(a) == 4
         assert braid.closure_is_knot(a)
 
     def test_impossible_parity_rejected(self):
         with pytest.raises(ValueError):
-            braid.random_knot_word(random.Random(0), 4, 10)
+            random_knot_word(random.Random(0), 4, 10)

@@ -277,6 +277,18 @@ class TestCensusStats:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--envelope-b", "--envelope-c"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_envelope_is_1_and_writes_nothing(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "out"
+        rc = main(["census-stats", str(SAMPLE), "--out", str(out), "%s=%s" % (flag, value)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):

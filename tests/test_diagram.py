@@ -7,6 +7,13 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from diagrams import (
+    insert_kink,
+    load_fixture_file,
+    mirror_diagram,
+    plat_closure_tuples,
+    random_knot_word,
+)
 from oracles import geometry_reference
 
 from knotsig import braid, diagram
@@ -18,8 +25,6 @@ from knotsig.diagram import (
     PDSyntaxError,
     checkerboard,
     gl_signature,
-    insert_kink,
-    mirror_diagram,
     parse_pd,
     pd_text,
     seifert_matrix,
@@ -32,7 +37,7 @@ CORPUS = str(importlib.resources.files("knotsig") / "data" / "corpus.tsv")
 
 
 def plat(word):
-    return DiagramCode.from_tuples(braid.plat_closure_tuples(word, 4))
+    return DiagramCode.from_tuples(plat_closure_tuples(word, 4))
 
 
 def goeritz_det(d):
@@ -116,7 +121,7 @@ class TestParse:
                 rng.choice((1, -1)) * rng.randint(1, strands - 1)
                 for _ in range(rng.randint(1, 3 * strands))
             ]
-            tuples = braid.plat_closure_tuples(word, strands)
+            tuples = plat_closure_tuples(word, strands)
             try:
                 d = DiagramCode.from_tuples(tuples)
             except MultiComponentError:
@@ -132,12 +137,12 @@ class TestParse:
         assert gl_signature(same) == seifert_signature(same) == gl_signature(d)
 
     def test_direct_code_rebuilds_every_code(self):
-        codes = list(diagram.load_fixture_file(CORPUS).values())
+        codes = list(load_fixture_file(CORPUS).values())
         rng = random.Random(5)
         while len(codes) < 56 + 100:
             strands = rng.choice((2, 3, 4, 5))
             length = strands - 1 + 2 * rng.randint(0, 8)
-            word = braid.random_knot_word(rng, strands, length)
+            word = random_knot_word(rng, strands, length)
             codes.append(DiagramCode.from_braid_word(word))
             strands = rng.choice((4, 6, 8))
             word = [
@@ -146,7 +151,7 @@ class TestParse:
             ]
             try:
                 codes.append(
-                    DiagramCode.from_tuples(braid.plat_closure_tuples(word, strands))
+                    DiagramCode.from_tuples(plat_closure_tuples(word, strands))
                 )
             except MultiComponentError:
                 pass
@@ -214,6 +219,21 @@ class TestLabels:
             DiagramCode.from_tuples(tuples)
         assert str(err.value) == "arc labels without exactly two ends: " + bad
 
+    @pytest.mark.parametrize("build", [DiagramCode, DiagramCode.from_tuples])
+    @pytest.mark.parametrize(
+        "tuples, message",
+        [
+            # each label twice, but "a" and 1 cannot be ordered together
+            ([(1, "a", 1, "a")], "arc labels are not exactly 1..2"),
+            ([(1, 2, [], [])], "arc labels must be integers"),
+            ([(1, "a", 2, "b")], "arc labels must be integers"),
+        ],
+    )
+    def test_labels_that_cannot_be_ordered_or_counted(self, build, tuples, message):
+        with pytest.raises(PDSyntaxError) as err:
+            build(tuples)
+        assert str(err.value) == message
+
 
 def assert_same_geometry(tuples):
     """The geometry of `tuples` equals the reference's field by field, with
@@ -245,7 +265,7 @@ def random_plats(rng, count):
             rng.choice((1, -1)) * rng.randint(1, strands - 1)
             for _ in range(rng.randint(1, 3 * strands))
         ]
-        tuples = braid.plat_closure_tuples(word, strands)
+        tuples = plat_closure_tuples(word, strands)
         try:
             out.append(DiagramCode.from_tuples(tuples).crossings)
         except MultiComponentError:
@@ -255,7 +275,7 @@ def random_plats(rng, count):
 
 class TestGeometryReference:
     def test_corpus_mirrors_and_kinks(self):
-        for d in diagram.load_fixture_file(CORPUS).values():
+        for d in load_fixture_file(CORPUS).values():
             for code in (d, mirror_diagram(d), insert_kink(d, 1), insert_kink(d, -1)):
                 assert_same_geometry(code.crossings)
 
@@ -267,7 +287,7 @@ class TestGeometryReference:
             length = rng.randint(strands + 3, 40)
             if (length - (strands - 1)) % 2:
                 length -= 1
-            word = braid.random_knot_word(rng, strands, length)
+            word = random_knot_word(rng, strands, length)
             assert_same_geometry(braid.trace_closure_tuples(word))
         for tuples in random_plats(random.Random(3), 100):
             assert_same_geometry(tuples)
@@ -353,7 +373,7 @@ class TestCheckerboard:
     def test_checkerboard_pinned(self):
         # exact Goeritz entries, not only signatures: a change of colouring
         # can move the matrix and keep the signature
-        corpus = diagram.load_fixture_file(CORPUS)
+        corpus = load_fixture_file(CORPUS)
         g = checkerboard(corpus["b(9,2)"])
         assert g.matrix.entries == (
             (3, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2),
@@ -384,10 +404,10 @@ class TestCheckerboard:
             ([1, 2] * 4, -6),
             ([1, 2] * 5, -8),
             ([1, 2, 3] * 3, -6),
-            (braid.random_knot_word(rng, 3, 8), 0),
-            (braid.random_knot_word(rng, 4, 9), 0),
-            (braid.random_knot_word(rng, 4, 13), -2),
-            (braid.random_knot_word(rng, 5, 12), -2),
+            (random_knot_word(rng, 3, 8), 0),
+            (random_knot_word(rng, 4, 9), 0),
+            (random_knot_word(rng, 4, 13), -2),
+            (random_knot_word(rng, 5, 12), -2),
         ]
         for word, expected in battery:
             d = DiagramCode.from_braid_word(word)
@@ -424,7 +444,7 @@ class TestSeifert:
             assert gl_signature(DiagramCode.from_braid_word(w)) == gl_signature(d)
 
     def test_braid_word_pinned(self):
-        corpus = diagram.load_fixture_file(CORPUS)
+        corpus = load_fixture_file(CORPUS)
         assert diagram.braid_word(corpus["b(9,2)"]) == [
             -2, -1, -2, 3, -2, 1, -4, 3, 2, 3, 4, 3,
         ]
@@ -475,7 +495,7 @@ def knot_words():
         length = rng.randint(s - 1, 14)
         if (length - (s - 1)) % 2:
             length += 1
-        return braid.random_knot_word(rng, s, length, max_tries=500)
+        return random_knot_word(rng, s, length, max_tries=500)
 
     return st.integers(0, 10**6).map(build)
 
