@@ -13,6 +13,15 @@ all strands upward, a positive letter has the over-strand running d -> b and
 a negative letter b -> d.
 """
 
+# The longest braid word the package builds (a twisted word, a torus
+# braid), counted before it is built. One white face meets every crossing
+# of a twist region, so the Goeritz form has a hub row and its inertia
+# costs grow with the square of the letters: in process on a 2-core Xeon,
+# the 3-strand region of {"base_braid": [1, -2], "regions": [[0, 1, 3]]}
+# took 0.75 s at q = 1000 (6,002 letters) and 3.0 s at q = 1999 (11,996
+# letters).
+MAX_BRAID_LETTERS = 12_000
+
 
 def word_strands(word):
     """Smallest strand count carrying the word (one more than the largest

@@ -82,8 +82,9 @@ class KnotGeom:
         if self.sigma is not None:
             if self.sigma % 2:
                 raise ValueError("signature must be even, got %r" % self.sigma)
+            # the float side reads 2 * sigma
             try:
-                float(self.sigma)
+                float(2 * self.sigma)
             except OverflowError:
                 raise ValueError(
                     "signature of %d bits is outside the float range"
@@ -155,7 +156,7 @@ def exceptional_window(slope, p):
     a given integer p >= 1: every slope outside it has length > 6."""
     if p < 1:
         raise ValueError("p must be a positive integer, got %r" % p)
-    _require_finite_slope(slope)
+    _require_finite_number(slope, "slope")
     return Interval(-slope - 6 / p, -slope + 6 / p)
 
 
@@ -164,14 +165,20 @@ def surgery_hyperbolic_certificate(g, p, q, c1):
     the exceptional bound, or q/p sits outside the slope window widened by
     the c1 error term. The boundary counts as uncertified."""
     sigma = g._require_sigma()
-    _require_finite_c1(c1)
+    _require_finite_number(c1, "c1")
     if p == 0:
         raise ValueError("p must be nonzero")
     if math.gcd(p, q) != 1:
         raise ValueError("(%d, %d) is not a primitive slope" % (p, q))
     if abs(p) > MAX_EXCEPTIONAL_P:
         return True
-    lhs = abs(q / p + 2 * sigma)
+    try:
+        ratio = q / p
+    except OverflowError:
+        raise ValueError(
+            "q/p of %d bits is outside the float range" % abs(q // p).bit_length()
+        ) from None
+    lhs = abs(ratio + 2 * sigma)
     rhs = 6 / abs(p) + c1 * g.volume / _inj_cubed(g)
     return lhs > rhs + _TOL
 
@@ -179,7 +186,7 @@ def surgery_hyperbolic_certificate(g, p, q, c1):
 def genus_lower_bound(slope, integer=False):
     """Seifert-genus lower bound |slope|/(4*pi) + 1/2, optionally rounded
     up to the integer genus it implies."""
-    _require_finite_slope(slope)
+    _require_finite_number(slope, "slope")
     value = abs(slope) / (4 * math.pi) + 0.5
     if integer:
         return math.ceil(value - _TOL)
@@ -190,20 +197,22 @@ def g4_lower_bound(g, c1):
     """Topological 4-genus lower bound |slope|/4 - (c1/4) * vol / inj^3.
 
     May be negative; callers clamp at zero when quoting it as a genus."""
-    _require_finite_c1(c1)
+    _require_finite_number(c1, "c1")
     slope = natural_slope(g.cusp)
     bound = abs(slope) / 4 - (c1 / 4) * g.volume / _inj_cubed(g)
     return _require_finite(bound, "4-genus bound", g)
 
 
-def _require_finite_slope(slope):
-    if not math.isfinite(slope):
-        raise ValueError("slope must be finite, got %r" % slope)
-
-
-def _require_finite_c1(c1):
-    if not math.isfinite(c1):
-        raise ValueError("c1 must be finite, got %r" % c1)
+def _require_finite_number(x, what):
+    # math.isfinite converts first, so an int beyond the floats overflows
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:
+        raise ValueError(
+            "%s of %d bits is outside the float range" % (what, int(x).bit_length())
+        ) from None
+    if not finite:
+        raise ValueError("%s must be finite, got %r" % (what, x))
 
 
 def _require_finite(value, what, g):
@@ -244,7 +253,7 @@ def normalized_signature(g):
 
 def closest_even_integer(s):
     """Nearest even integer, ties toward the smaller absolute value."""
-    _require_finite_slope(s)
+    _require_finite_number(s, "slope")
     k = math.floor(s / 2)
     lo, hi = 2 * k, 2 * k + 2
     d_lo, d_hi = s - lo, hi - s

@@ -96,22 +96,23 @@ def _pivots(rows):
     was last rewritten, and scaled by d_now / d_then (exactly, as its
     entries are minors too) when it is next read.
 
-    The next pivot is the remaining index with a nonzero diagonal and
-    the fewest nonzeros (minimum degree, lowest index on ties); any
-    symmetric order is a congruence.  When every remaining diagonal is
-    zero, row and column k get row and column j added, for a neighbour
-    j of k, which makes the pivot 2 a_kj != 0; row k is pivoted at
-    once, so each row of the accumulated transform has at most two ones
-    and each transformed entry is a sum of at most four input entries.
+    Every non-empty row waits in one heap under the key (zero diagonal,
+    degree, index), so the next pivot is the remaining index with a
+    nonzero diagonal and the fewest nonzeros (lowest index on ties); any
+    symmetric order is a congruence.  A key whose row has since changed
+    is stale and skipped.  A zero diagonal comes first only when every
+    remaining diagonal is zero; then row and column k get row and column
+    j added, for the neighbour j of k of least degree, which makes the
+    pivot 2 a_kj != 0; row k is pivoted at once, so each row of the
+    accumulated transform has at most two ones and each transformed
+    entry is a sum of at most four input entries.
     Rows that become empty are zero eigenvalues and yield nothing.
     """
     n = len(rows)
     a = [dict(row) for row in rows]
     seen = [0] * n
     d = [1]
-    # (degree, index) of every row with a nonzero diagonal; an entry whose
-    # row has since been pivoted or rewritten is stale and skipped
-    heap = [(len(row), i) for i, row in enumerate(a) if i in row]
+    heap = [(i not in row, len(row), i) for i, row in enumerate(a) if row]
     heapify(heap)
 
     def fresh(i):
@@ -123,22 +124,14 @@ def _pivots(rows):
             seen[i] = t
         return row
 
-    def degree(i):
-        return len(a[i]), i
-
-    while True:
-        while heap:
-            size, k = heappop(heap)
-            if k in a[k] and len(a[k]) == size:
-                row_k = fresh(k)
-                break
-        else:
-            rest = [i for i, row in enumerate(a) if row]
-            if not rest:
-                return
-            k = min(rest, key=degree)
-            j = min(a[k], key=degree)
-            row_k, row_j = fresh(k), fresh(j)
+    while heap:
+        zero, size, k = heappop(heap)
+        if len(a[k]) != size or (k not in a[k]) != zero:
+            continue
+        row_k = fresh(k)
+        if zero:
+            _, j = min((len(a[i]), i) for i in row_k)
+            row_j = fresh(j)
             for m, y in row_j.items():
                 if m != k:
                     x = row_k.get(m, 0) + y
@@ -152,6 +145,7 @@ def _pivots(rows):
                         row_m[k] = x
                     else:
                         del row_m[k]
+                        heappush(heap, (m not in row_m, len(row_m), m))
             row_k[k] = 2 * row_j[k]
         p = row_k.pop(k)
         prev = d[-1]
@@ -163,8 +157,8 @@ def _pivots(rows):
                 new[j] = new.get(j, 0) - f * y
             a[i] = row_i = {j: x // prev for j, x in new.items() if x}
             seen[i] = len(d)
-            if i in row_i:
-                heappush(heap, (len(row_i), i))
+            if row_i:
+                heappush(heap, (i not in row_i, len(row_i), i))
         a[k] = {}
         d.append(p)
         yield p

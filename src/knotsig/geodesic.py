@@ -6,6 +6,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .cusp import _require_finite_number
 from .torus import kappa
 
 # upper end of the admissible cutoff range for "short" geodesics
@@ -156,8 +157,7 @@ def corrected_slope_estimate(slope, geos, epsilon, margulis=EPSILON_3):
 
     Each correction kappa(p, q) is an exact integer because p is even. A
     tiny Re can make it too large for a float, which is a ValueError."""
-    if not math.isfinite(slope):
-        raise ValueError("slope must be finite, got %r" % slope)
+    _require_finite_number(slope, "slope")
     correction = 0
     for g in _short_odd(geos, epsilon, margulis):
         tw = twisting_parameter(g.complex_length)

@@ -5,6 +5,7 @@ diagrammatic oracle."""
 import math
 from dataclasses import dataclass
 
+from .braid import MAX_BRAID_LETTERS
 from .diagram import DiagramCode
 
 
@@ -119,10 +120,17 @@ def torus_signature(p, q):
 
 def torus_pd(p, q):
     """Diagram of the (p,q) torus knot as the closure of the p-strand
-    braid (s_1 ... s_{p-1})^q, with q(p-1) crossings."""
+    braid (s_1 ... s_{p-1})^q, with q(p-1) crossings. A word longer than
+    MAX_BRAID_LETTERS raises a ValueError before anything is built."""
     _require_ints(p, q)
     if p < 2 or q < 1:
         raise ValueError("need p >= 2 and q >= 1, got (%d, %d)" % (p, q))
+    letters = (p - 1) * q
+    if letters > MAX_BRAID_LETTERS:
+        raise ValueError(
+            "T(%d,%d) braid word would have %d letters, more than the limit of %d"
+            % (p, q, letters, MAX_BRAID_LETTERS)
+        )
     if math.gcd(p, q) != 1:
         raise ValueError(
             "T(%d,%d) is a link; the diagram oracle handles knots only" % (p, q)

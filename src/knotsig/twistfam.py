@@ -5,7 +5,13 @@ slope/signature predictions."""
 import json
 from dataclasses import dataclass
 
-from .braid import closure_is_knot, full_twist_word, invert_word, word_strands
+from .braid import (
+    MAX_BRAID_LETTERS,
+    closure_is_knot,
+    full_twist_word,
+    invert_word,
+    word_strands,
+)
 from .diagram import DiagramCode, gl_signature
 
 
@@ -48,18 +54,10 @@ def _twist_word(start, count, q):
     return invert_word(full_twist_word(start, count) * -q)
 
 
-# One white face meets every crossing of a twist region, so the Goeritz
-# form has a hub row and its inertia costs grow with the square of the
-# letters: in process on a 2-core Xeon, the 3-strand region of
-# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.75 s at q = 1000
-# (6,002 letters) and 3.0 s at q = 1999 (11,996 letters).
-MAX_TWISTED_LETTERS = 12_000
-
-
 def twisted_word(spec, q):
     """The braid word with q[i] full twists inserted at region i. Its
     length is counted before it is built, and a word longer than
-    MAX_TWISTED_LETTERS raises a ValueError."""
+    MAX_BRAID_LETTERS raises a ValueError."""
     if len(q) != len(spec.regions):
         raise ValueError(
             "need %d twist counts, got %d" % (len(spec.regions), len(q))
@@ -67,10 +65,10 @@ def twisted_word(spec, q):
     letters = len(spec.base_braid) + sum(
         abs(qi) * count * (count - 1) for (_, _, count), qi in zip(spec.regions, q)
     )
-    if letters > MAX_TWISTED_LETTERS:
+    if letters > MAX_BRAID_LETTERS:
         raise ValueError(
             "twisted word would have %d letters, more than the limit of %d"
-            % (letters, MAX_TWISTED_LETTERS)
+            % (letters, MAX_BRAID_LETTERS)
         )
     inserts = sorted(zip(spec.regions, q), key=lambda item: item[0][0])
     word = []

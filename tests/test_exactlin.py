@@ -8,6 +8,7 @@ from knotsig import diagram, torus, twistfam
 from knotsig.exactlin import InertiaTriple, SymIntMatrix, _pivots, inertia, signature
 
 from oracles import inertia_by_charpoly, inertia_dense_reference
+from test_totality import call_within_budget
 
 
 def test_diagonal_matrix():
@@ -225,6 +226,15 @@ def test_large_sparse_form_needs_no_dense_copy():
     assert got == InertiaTriple(n, 0, 0)
     assert peak < 64 * 2**20
 
+
+
+def test_hyperbolic_sum_repairs_in_budget():
+    # every pivot of a sum of hyperbolic planes [[0, 1], [1, 0]] is a
+    # zero-diagonal repair; picking each one by a scan of all rows made
+    # this n = 20,000 form quadratic, about 30 s
+    n = 20_000
+    m = SymIntMatrix.from_nonzeros([{i ^ 1: 1} for i in range(n)])
+    assert call_within_budget(inertia, (m,)) == InertiaTriple(n // 2, n // 2, 0)
 
 def _symmetrized(v):
     return [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]

@@ -46,22 +46,36 @@ def aggregate_sample(envelope_b, envelope_c):
     return census.aggregate(SAMPLE_ROWS, envelope_b, envelope_c)
 
 
+# the 6_1 row of the sample census
+GEOM = cusp.KnotGeom(cusp.CuspShape(3.9279, 0.7237 + 1.016j), 3.1639, 0.55, 0)
+
+
 # every float, NaN, the infinities and the largest magnitudes included, and
 # rationals that are not integers
 non_integers = st.one_of(
     st.floats(), st.fractions().filter(lambda x: x.denominator != 1)
 )
-# kappa's cost grows with the length of Euclid's algorithm only; torus_pd
-# builds (p - 1) * q crossings, so its integers stay small
 huge_or_not = st.one_of(non_integers, st.integers(-(10**40), 10**40))
-small_or_not = st.one_of(non_integers, st.integers(-12, 12))
+# integers far beyond the float range too
+huge_ints = st.integers(-(10**400), 10**400)
+huge_reals = st.one_of(st.floats(), huge_ints)
 
 CASES = {
     "kappa": (torus.kappa, st.tuples(huge_or_not, huge_or_not)),
     "torus_signature": (torus.torus_signature, st.tuples(huge_or_not, huge_or_not)),
-    "torus_pd": (torus.torus_pd, st.tuples(small_or_not, small_or_not)),
-    "closest_even_integer": (cusp.closest_even_integer, st.tuples(st.floats())),
-    "genus_lower_bound": (cusp.genus_lower_bound, st.tuples(st.floats(), st.booleans())),
+    "torus_pd": (torus.torus_pd, st.tuples(huge_or_not, huge_or_not)),
+    "closest_even_integer": (cusp.closest_even_integer, st.tuples(huge_reals)),
+    "genus_lower_bound": (cusp.genus_lower_bound, st.tuples(huge_reals, st.booleans())),
+    "exceptional_window": (cusp.exceptional_window, st.tuples(huge_reals, huge_ints)),
+    "g4_lower_bound": (cusp.g4_lower_bound, st.tuples(st.just(GEOM), huge_reals)),
+    "surgery_hyperbolic_certificate": (
+        cusp.surgery_hyperbolic_certificate,
+        st.tuples(st.just(GEOM), st.one_of(st.integers(-9, 9), huge_ints), huge_ints, huge_reals),
+    ),
+    "corrected_slope_estimate": (
+        geodesic.corrected_slope_estimate,
+        st.tuples(huge_reals, st.just([]), st.just(0.5)),
+    ),
     "tube_torus": (geodesic.tube_torus, st.tuples(st.complex_numbers(), st.floats())),
     "aggregate": (aggregate_sample, st.tuples(st.floats(), st.floats())),
 }
@@ -92,6 +106,16 @@ def test_returns_or_raises_value_error_within_budget(name, data):
         (geodesic.tube_torus, (complex(math.nan, 0.1), 1.0)),
         (aggregate_sample, (math.nan, 2.0)),
         (aggregate_sample, (2.0, math.inf)),
+        (torus.torus_pd, (10**20, 10**20 + 1)),
+        (torus.torus_pd, (3, 100_001)),
+        (cusp.closest_even_integer, (10**400,)),
+        (cusp.genus_lower_bound, (10**400,)),
+        (cusp.exceptional_window, (10**400, 1)),
+        (cusp.g4_lower_bound, (GEOM, 10**400)),
+        (cusp.surgery_hyperbolic_certificate, (GEOM, 1, 10**400, 0.3)),
+        (cusp.surgery_hyperbolic_certificate, (GEOM, 3, 1, 10**400)),
+        (cusp.KnotGeom, (GEOM.cusp, GEOM.volume, GEOM.inj, 2**1023)),
+        (geodesic.corrected_slope_estimate, (10**400, [], 0.5)),
     ],
 )
 def test_reported_inputs_raise_value_error(fn, args):

@@ -6,10 +6,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from knotsig.braid import MAX_BRAID_LETTERS
 from knotsig.diagram import gl_signature, seifert_signature
 from knotsig.torus import torus_signature
 from knotsig.twistfam import (
-    MAX_TWISTED_LETTERS,
     FamilyRow,
     TwistSpec,
     family_report,
@@ -71,8 +71,8 @@ class TestTwistInsert:
         # each full twist on 3 strands is 6 letters; the limit is checked
         # on the count, before any letter is built
         spec = TwistSpec((1, -2), ((0, 1, 3),))
-        q = (MAX_TWISTED_LETTERS - 2) // 6
-        assert len(twisted_word(spec, (q,))) == 2 + 6 * q <= MAX_TWISTED_LETTERS
+        q = (MAX_BRAID_LETTERS - 2) // 6
+        assert len(twisted_word(spec, (q,))) == 2 + 6 * q <= MAX_BRAID_LETTERS
         for big in (q + 1, -(q + 1), 10**12):
             with pytest.raises(ValueError):
                 twisted_word(spec, (big,))
