@@ -14,13 +14,14 @@ a negative letter b -> d.
 """
 
 # The longest braid word the package builds (a twisted word, a torus
-# braid), counted before it is built. One white face meets every crossing
-# of a twist region, so the Goeritz form has a hub row and its inertia
-# costs grow with the square of the letters: in process on a 2-core Xeon,
-# the 3-strand region of {"base_braid": [1, -2], "regions": [[0, 1, 3]]}
-# took 0.75 s at q = 1000 (6,002 letters) and 3.0 s at q = 1999 (11,996
-# letters).
-MAX_BRAID_LETTERS = 12_000
+# braid), counted before it is built. Every stage grows about linearly in
+# the letters, the hub row of a twist region's Goeritz form included, and
+# most of the time goes to building the code and to `checkerboard`: in
+# process on a 2-core Xeon, `twist-verify` on the 3-strand region of
+# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 1.1 s at q = 10,000
+# (60,002 letters) and 2.6 s at q = 19,999 (119,996 letters; 1.0 s building
+# the code, 1.0 s in `checkerboard`, 0.7 s in inertia), peaking at 170 MB.
+MAX_BRAID_LETTERS = 120_000
 
 
 def word_strands(word):

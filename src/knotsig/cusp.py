@@ -154,7 +154,7 @@ class Interval:
 def exceptional_window(slope, p):
     """Closed interval of q/p values that can possibly be exceptional for
     a given integer p >= 1: every slope outside it has length > 6."""
-    if p < 1:
+    if not (isinstance(p, int) and p >= 1):
         raise ValueError("p must be a positive integer, got %r" % p)
     _require_finite_number(slope, "slope")
     return Interval(-slope - 6 / p, -slope + 6 / p)

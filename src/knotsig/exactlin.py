@@ -10,6 +10,10 @@ det(E) != 0, so by Sylvester's law of inertia the signs of the LDL^T pivots
 it reads off are the eigenvalue signs of the input.  All arithmetic is over
 unbounded Python integers, and every stored number is a minor of the input
 (after the zero-diagonal repairs), so no entry outgrows Hadamard's bound.
+Each stored entry carries the pivot count at which it was last exact, so a
+pivot rewrites only the entries its own row meets and every other entry is
+rescaled, exactly, when it is next read; one hub row that meets every pivot
+costs no more than any other row.
 """
 
 from dataclasses import dataclass
@@ -87,14 +91,16 @@ def _pivots(rows):
     d_t is the principal minor of the input (after the repairs below)
     on the first t pivot indices, so the t-th LDL^T pivot is
     d_t / d_{t-1}, with d_0 = 1.  Each row is copied into a dict of its
-    nonzeros, which the elimination rewrites.
-    Eliminating pivot k with value p rewrites each row i that meets
-    column k as a_ij <- (p a_ij - a_ik a_kj) // prev, prev the previous
-    pivot; by Sylvester's identity the result is again a minor, so the
-    division is exact.  A row that column k misses would only be scaled
-    by p / prev: it is left as it is, with the pivot count at which it
-    was last rewritten, and scaled by d_now / d_then (exactly, as its
-    entries are minors too) when it is next read.
+    nonzeros, which the elimination rewrites, and every stored entry
+    carries a stamp: the pivot count s at which it was last exact.
+    Eliminating pivot k with value p, after t pivots, rewrites only the
+    entries (i, j) with i and j both in row k:
+    a_ij <- (p a_ij d_t / d_s - a_ik a_kj) // d_t.  By Sylvester's
+    identity the result is again a minor, so the division is exact.  An
+    entry that row k misses would only be scaled by p / d_t: it keeps
+    its value and stamp and is scaled by d_now / d_s (exactly, as it is
+    a minor too) when it is next read.  So a pivot costs the square of
+    its row's length, however long the rows it meets are.
 
     Every non-empty row waits in one heap under the key (zero diagonal,
     degree, index), so the next pivot is the remaining index with a
@@ -103,63 +109,61 @@ def _pivots(rows):
     is stale and skipped.  A zero diagonal comes first only when every
     remaining diagonal is zero; then row and column k get row and column
     j added, for the neighbour j of k of least degree, which makes the
-    pivot 2 a_kj != 0; row k is pivoted at once, so each row of the
+    pivot 2 a_kj != 0.  That reads row j and writes only the entries
+    a_km = a_mk it changes; row k is pivoted at once, so each row of the
     accumulated transform has at most two ones and each transformed
     entry is a sum of at most four input entries.
     Rows that become empty are zero eigenvalues and yield nothing.
     """
-    n = len(rows)
     a = [dict(row) for row in rows]
-    seen = [0] * n
+    stamp = [dict.fromkeys(row, 0) for row in a]
     d = [1]
     heap = [(i not in row, len(row), i) for i, row in enumerate(a) if row]
     heapify(heap)
-
-    def fresh(i):
-        row, s, t = a[i], seen[i], len(d) - 1
-        if s != t:
-            num, den = d[t], d[s]
-            for j, x in row.items():
-                row[j] = x * num // den
-            seen[i] = t
-        return row
-
     while heap:
         zero, size, k = heappop(heap)
         if len(a[k]) != size or (k not in a[k]) != zero:
             continue
-        row_k = fresh(k)
+        t = len(d) - 1
+        prev = d[t]
+        stamp_k = stamp[k]
+        row_k = {j: x if stamp_k[j] == t else x * prev // d[stamp_k[j]] for j, x in a[k].items()}
+        a[k], stamp[k] = {}, {}
         if zero:
             _, j = min((len(a[i]), i) for i in row_k)
-            row_j = fresh(j)
-            for m, y in row_j.items():
+            stamp_j = stamp[j]
+            for m, y in a[j].items():
                 if m != k:
-                    x = row_k.get(m, 0) + y
-                    if x:
-                        row_k[m] = x
-                    else:
-                        del row_k[m]
+                    s = stamp_j[m]
+                    x = row_k.get(m, 0) + (y if s == t else y * prev // d[s])
                     row_m = a[m]
-                    x = row_m.get(k, 0) + row_m[j]
                     if x:
-                        row_m[k] = x
+                        row_k[m] = row_m[k] = x
+                        stamp[m][k] = t
                     else:
-                        del row_m[k]
+                        del row_k[m], row_m[k], stamp[m][k]
                         heappush(heap, (m not in row_m, len(row_m), m))
-            row_k[k] = 2 * row_j[k]
+            row_k[k] = 2 * row_k[j]
         p = row_k.pop(k)
-        prev = d[-1]
         for i, f in row_k.items():
-            row_i = fresh(i)
-            del row_i[k]
-            new = {j: p * x for j, x in row_i.items()}
+            row_i, stamp_i = a[i], stamp[i]
+            del row_i[k], stamp_i[k]
             for j, y in row_k.items():
-                new[j] = new.get(j, 0) - f * y
-            a[i] = row_i = {j: x // prev for j, x in new.items() if x}
-            seen[i] = len(d)
+                x = row_i.get(j)
+                if x is None:
+                    x = -f * y // prev
+                else:
+                    s = stamp_i[j]
+                    if s != t:
+                        x = x * prev // d[s]
+                    x = (p * x - f * y) // prev
+                if x:
+                    row_i[j] = x
+                    stamp_i[j] = t + 1
+                else:
+                    del row_i[j], stamp_i[j]
             if row_i:
                 heappush(heap, (i not in row_i, len(row_i), i))
-        a[k] = {}
         d.append(p)
         yield p
 

@@ -3,16 +3,18 @@
 Nothing here calls back into the package's signature code paths: eigenvalue
 sign counts come from the characteristic polynomial (sympy, exact) plus a
 hand-rolled Sturm chain over Fractions, the package's former dense
-elimination is kept as a second inertia reference, the twisting parameter
-is found by a numpy grid scan and by an exact scan of lines of fixed q, and
-the torus correction term is recomputed one reduction rule at a time with
-no closed-form shortcuts, and the diagram geometry is rebuilt by the
-package's former dict-based walk.
+elimination is kept as a second inertia reference and its former sparse
+elimination, with one pivot stamp per row, as the reference for the pivot
+sequence, the twisting parameter is found by a numpy grid scan and by an
+exact scan of lines of fixed q, and the torus correction term is
+recomputed one reduction rule at a time with no closed-form shortcuts, and
+the diagram geometry is rebuilt by the package's former dict-based walk.
 """
 
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 import numpy as np
@@ -253,6 +255,95 @@ def inertia_dense_reference(rows):
             for j in range(k, n):
                 a[j][i] = c * a[j][i] - s * a[j][k]
     return (n_pos, n_neg, n_zero)
+
+
+def pivots_reference(rows):
+    """The package's former `exactlin._pivots`, with one pivot stamp per
+    row rather than per entry, kept as the reference for the pivot
+    sequence.
+
+    Yield the Bareiss pivots d_1, d_2, ... of the symmetric integer
+    matrix with the stored rows `rows` (see `SymIntMatrix`), in
+    elimination order; there is one per nonzero eigenvalue.
+
+    d_t is the principal minor of the input (after the repairs below)
+    on the first t pivot indices, so the t-th LDL^T pivot is
+    d_t / d_{t-1}, with d_0 = 1.  Each row is copied into a dict of its
+    nonzeros, which the elimination rewrites.
+    Eliminating pivot k with value p rewrites each row i that meets
+    column k as a_ij <- (p a_ij - a_ik a_kj) // prev, prev the previous
+    pivot; by Sylvester's identity the result is again a minor, so the
+    division is exact.  A row that column k misses would only be scaled
+    by p / prev: it is left as it is, with the pivot count at which it
+    was last rewritten, and scaled by d_now / d_then (exactly, as its
+    entries are minors too) when it is next read.
+
+    Every non-empty row waits in one heap under the key (zero diagonal,
+    degree, index), so the next pivot is the remaining index with a
+    nonzero diagonal and the fewest nonzeros (lowest index on ties); any
+    symmetric order is a congruence.  A key whose row has since changed
+    is stale and skipped.  A zero diagonal comes first only when every
+    remaining diagonal is zero; then row and column k get row and column
+    j added, for the neighbour j of k of least degree, which makes the
+    pivot 2 a_kj != 0; row k is pivoted at once, so each row of the
+    accumulated transform has at most two ones and each transformed
+    entry is a sum of at most four input entries.
+    Rows that become empty are zero eigenvalues and yield nothing.
+    """
+    n = len(rows)
+    a = [dict(row) for row in rows]
+    seen = [0] * n
+    d = [1]
+    heap = [(i not in row, len(row), i) for i, row in enumerate(a) if row]
+    heapify(heap)
+
+    def fresh(i):
+        row, s, t = a[i], seen[i], len(d) - 1
+        if s != t:
+            num, den = d[t], d[s]
+            for j, x in row.items():
+                row[j] = x * num // den
+            seen[i] = t
+        return row
+
+    while heap:
+        zero, size, k = heappop(heap)
+        if len(a[k]) != size or (k not in a[k]) != zero:
+            continue
+        row_k = fresh(k)
+        if zero:
+            _, j = min((len(a[i]), i) for i in row_k)
+            row_j = fresh(j)
+            for m, y in row_j.items():
+                if m != k:
+                    x = row_k.get(m, 0) + y
+                    if x:
+                        row_k[m] = x
+                    else:
+                        del row_k[m]
+                    row_m = a[m]
+                    x = row_m.get(k, 0) + row_m[j]
+                    if x:
+                        row_m[k] = x
+                    else:
+                        del row_m[k]
+                        heappush(heap, (m not in row_m, len(row_m), m))
+            row_k[k] = 2 * row_j[k]
+        p = row_k.pop(k)
+        prev = d[-1]
+        for i, f in row_k.items():
+            row_i = fresh(i)
+            del row_i[k]
+            new = {j: p * x for j, x in row_i.items()}
+            for j, y in row_k.items():
+                new[j] = new.get(j, 0) - f * y
+            a[i] = row_i = {j: x // prev for j, x in new.items() if x}
+            seen[i] = len(d)
+            if row_i:
+                heappush(heap, (i not in row_i, len(row_i), i))
+        a[k] = {}
+        d.append(p)
+        yield p
 
 
 def geometry_reference(tuples):

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from knotsig import census
+from knotsig.braid import MAX_BRAID_LETTERS
 from knotsig.cli import MAX_CHECK_PQ, build_parser, main
 from knotsig.cusp import (
     CuspShape,
@@ -27,6 +28,9 @@ from test_census import SAMPLE
 
 STEVEDORE = ("--longitude", "3.9279", "--meridian", "0.7237+1.0160i")
 K12A52 = ("--longitude", "27.7228", "--meridian", "-1.2838+0.5145i")
+# twist-verify's line for {"base_braid": [1, -2], "regions": [[0, 1, 3]]} at
+# q = 19,999, the largest q within braid.MAX_BRAID_LETTERS
+HUB_CAP_LINE = "19999 -79996 -79996 0"
 
 
 def run_cli(capsys, *args):
@@ -216,6 +220,18 @@ class TestTwistVerify:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run_cli(capsys, "twist-verify", "-") == from_file
         assert from_file[0] == 0 and len(from_file[1].splitlines()) == 2
+
+    def test_hub_spec_at_letter_cap(self, capsys, tmp_path):
+        # the largest q the letter cap allows on this 3-strand region; CI
+        # runs the installed entry point on it and expects the same line
+        q = (MAX_BRAID_LETTERS - 2) // 6
+        assert q == 19_999
+        path = tmp_path / "fam.json"
+        path.write_text(
+            json.dumps({"base_braid": [1, -2], "regions": [[0, 1, 3]], "q_vectors": [[q]]}),
+            encoding="utf-8",
+        )
+        assert run_cli(capsys, "twist-verify", str(path)) == (0, HUB_CAP_LINE + "\n")
 
 
 class TestCensusStats:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from knotsig import diagram, torus, twistfam
 from knotsig.exactlin import InertiaTriple, SymIntMatrix, _pivots, inertia, signature
 
-from oracles import inertia_by_charpoly, inertia_dense_reference
+from oracles import inertia_by_charpoly, inertia_dense_reference, pivots_reference
 from test_totality import call_within_budget
 
 
@@ -236,6 +236,32 @@ def test_hyperbolic_sum_repairs_in_budget():
     m = SymIntMatrix.from_nonzeros([{i ^ 1: 1} for i in range(n)])
     assert call_within_budget(inertia, (m,)) == InertiaTriple(n // 2, n // 2, 0)
 
+
+def test_star_form_in_budget():
+    # a hub of diagonal n and n leaves of diagonal 1, each with a 1 to the
+    # hub; every leaf pivot meets the hub row, which made this form
+    # quadratic when each pivot rewrote every row it met, about 40 s
+    n = 20_000
+    rows = [{0: n, **dict.fromkeys(range(1, n + 1), 1)}]
+    rows += [{0: 1, i: 1} for i in range(1, n + 1)]
+    m = SymIntMatrix.from_nonzeros(rows)
+    assert call_within_budget(inertia, (m,)) == InertiaTriple(n, 0, 1)
+
+
+@pytest.fixture(scope="module")
+def hub_form():
+    """The 5,998-dim Goeritz form of the 3-strand twist region of
+    {"base_braid": [1, -2], "regions": [[0, 1, 3]]} at q = 1,999: one white
+    face meets every crossing, so one row has 5,998 nonzeros."""
+    spec = twistfam.TwistSpec((1, -2), ((0, 1, 3),))
+    return diagram.checkerboard(twistfam.twist_insert(spec, (1999,))).matrix
+
+
+def test_hub_form_in_budget(hub_form):
+    # about 3 s when each pivot rewrote the whole hub row
+    assert call_within_budget(inertia, (hub_form,), 1) == InertiaTriple(2000, 3998, 0)
+
+
 def _symmetrized(v):
     return [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
 
@@ -282,3 +308,20 @@ def test_knot_form_pivots_within_hadamard_bound(knot_forms):
 def test_pivots_within_hadamard_bound(kind, data):
     rows = data.draw(sparse_sym(**SPARSE_KINDS[kind]))
     assert peak_pivot_bits(rows) <= hadamard_bits(rows)
+
+
+def same_pivots(rows):
+    stored = SymIntMatrix(rows).rows
+    return list(_pivots(stored)) == list(pivots_reference(stored))
+
+
+@pytest.mark.parametrize("kind", ["dense", *SPARSE_KINDS])
+@given(data=st.data())
+def test_pivot_sequence_matches_reference(kind, data):
+    forms = sym_matrix(8) if kind == "dense" else sparse_sym(**SPARSE_KINDS[kind])
+    assert same_pivots(data.draw(forms))
+
+
+def test_knot_form_pivot_sequences_match_reference(knot_forms):
+    for name, rows in knot_forms.items():
+        assert same_pivots(rows), name

@@ -22,14 +22,14 @@ class BudgetExceeded(Exception):
 
 
 def _expire(signum, frame):
-    raise BudgetExceeded("call ran past its %d s budget" % BUDGET_S)
+    raise BudgetExceeded("call ran past its budget")
 
 
-def call_within_budget(fn, args):
+def call_within_budget(fn, args, seconds=BUDGET_S):
     """fn(*args), or the ValueError it raised; any other exception, or a
-    call that runs past the budget, fails the test."""
+    call that runs past `seconds` (a whole number), fails the test."""
     previous = signal.signal(signal.SIGALRM, _expire)
-    signal.alarm(BUDGET_S)
+    signal.alarm(seconds)
     try:
         return fn(*args)
     except ValueError as exc:
@@ -59,14 +59,27 @@ huge_or_not = st.one_of(non_integers, st.integers(-(10**40), 10**40))
 # integers far beyond the float range too
 huge_ints = st.integers(-(10**400), 10**400)
 huge_reals = st.one_of(st.floats(), huge_ints)
+# coprime pairs p >= 2, q = k p +- 1 >= 3, small and up to about 10**40: the
+# draws above are almost never such a pair, and never a large one
+coprime_pairs = st.builds(
+    lambda p, k, s: (p, k * p + s),
+    st.integers(2, 10**20),
+    st.integers(1, 10**20),
+    st.sampled_from((1, -1)),
+)
 
 CASES = {
     "kappa": (torus.kappa, st.tuples(huge_or_not, huge_or_not)),
     "torus_signature": (torus.torus_signature, st.tuples(huge_or_not, huge_or_not)),
     "torus_pd": (torus.torus_pd, st.tuples(huge_or_not, huge_or_not)),
+    "torus_pd_coprime": (torus.torus_pd, coprime_pairs),
+    "torus_signature_coprime": (torus.torus_signature, coprime_pairs),
     "closest_even_integer": (cusp.closest_even_integer, st.tuples(huge_reals)),
     "genus_lower_bound": (cusp.genus_lower_bound, st.tuples(huge_reals, st.booleans())),
-    "exceptional_window": (cusp.exceptional_window, st.tuples(huge_reals, huge_ints)),
+    "exceptional_window": (
+        cusp.exceptional_window,
+        st.tuples(huge_reals, st.one_of(huge_ints, non_integers)),
+    ),
     "g4_lower_bound": (cusp.g4_lower_bound, st.tuples(st.just(GEOM), huge_reals)),
     "surgery_hyperbolic_certificate": (
         cusp.surgery_hyperbolic_certificate,
@@ -116,6 +129,9 @@ def test_returns_or_raises_value_error_within_budget(name, data):
         (cusp.surgery_hyperbolic_certificate, (GEOM, 3, 1, 10**400)),
         (cusp.KnotGeom, (GEOM.cusp, GEOM.volume, GEOM.inj, 2**1023)),
         (geodesic.corrected_slope_estimate, (10**400, [], 0.5)),
+        (cusp.exceptional_window, (1.0, math.nan)),
+        (cusp.exceptional_window, (1.0, math.inf)),
+        (cusp.exceptional_window, (1.0, 2.5)),
     ],
 )
 def test_reported_inputs_raise_value_error(fn, args):
