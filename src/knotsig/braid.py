@@ -13,6 +13,8 @@ all strands upward, a positive letter has the over-strand running d -> b and
 a negative letter b -> d.
 """
 
+from .cusp import _require_ints
+
 # The longest braid word the package builds (a twisted word, a torus
 # braid), counted before it is built. Every stage grows about linearly in
 # the letters, the hub row of a twist region's Goeritz form included, and
@@ -27,11 +29,11 @@ MAX_BRAID_LETTERS = 120_000
 def word_strands(word):
     """Smallest strand count carrying the word (one more than the largest
     generator index); the empty word needs one strand."""
-    if any(x == 0 for x in word):
+    if not all(isinstance(x, int) and x for x in word):
         raise ValueError("braid letters must be nonzero integers")
     if not word:
         return 1
-    return max(abs(x) for x in word) + 1
+    return max(map(abs, word)) + 1
 
 
 def word_permutation(word):
@@ -106,8 +108,14 @@ def trace_closure_tuples(word):
 def full_twist_word(start, size):
     """One full twist on `size` adjacent strands starting at position
     `start`: (sigma_start ... sigma_{start+size-2})^size."""
+    _require_ints((start, size), "start and size")
     if size < 1 or start < 1:
         raise ValueError("need start >= 1 and size >= 1")
+    if size * (size - 1) > MAX_BRAID_LETTERS:
+        raise ValueError(
+            "a full twist on %d strands has more than %d letters"
+            % (size, MAX_BRAID_LETTERS)
+        )
     if size == 1:
         return []
     return list(range(start, start + size - 1)) * size

@@ -25,6 +25,7 @@ from .cusp import (
     CuspShape,
     GeometryWarning,
     KnotGeom,
+    _require_finite_number,
     c1_statistic,
     natural_slope,
     normalized_signature,
@@ -212,10 +213,8 @@ def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
     """Fold derived rows into a StatsReport; derive() routes through here,
     so re-aggregating a report's rows reproduces the report. A non-finite
     envelope constant is a ValueError."""
-    if not (math.isfinite(envelope_b) and math.isfinite(envelope_c)):
-        raise ValueError(
-            "envelope constants must be finite, got b=%r, c=%r" % (envelope_b, envelope_c)
-        )
+    _require_finite_number(envelope_b, "envelope constant b")
+    _require_finite_number(envelope_c, "envelope constant c")
     by_crossing = {}
     for d in derived:
         by_crossing.setdefault(d.row.crossings, []).append(d.c1)

@@ -45,18 +45,14 @@ class CuspShape:
     meridian: complex
 
     def __post_init__(self):
-        if not 0 < self.longitude < math.inf:
-            raise ValueError(
-                "longitude must be positive and finite, got %r" % self.longitude
-            )
-        if not (math.isfinite(self.meridian.real) and 0 < self.meridian.imag < math.inf):
-            raise ValueError(
-                "meridian must be finite with Im > 0, got %r" % self.meridian
-            )
+        _require_positive(self.longitude, "longitude")
+        _require_finite_number(self.meridian.real, "Re(meridian)")
+        _require_positive(self.meridian.imag, "Im(meridian)")
+        size = _modulus(self.meridian)
         lo, hi = MERIDIAN_RANGE
-        if not lo - _TOL <= abs(self.meridian) <= hi + _TOL:
+        if not lo - _TOL <= size <= hi + _TOL:
             warnings.warn(
-                "|meridian| = %.4f outside [%g, %g]" % (abs(self.meridian), lo, hi),
+                "|meridian| = %.4f outside [%g, %g]" % (size, lo, hi),
                 GeometryWarning,
                 stacklevel=3,
             )
@@ -73,23 +69,13 @@ class KnotGeom:
     sigma: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.volume < math.inf:
-            raise ValueError("volume must be positive and finite, got %r" % self.volume)
-        if not 0 < self.inj < math.inf:
-            raise ValueError(
-                "injectivity radius must be positive and finite, got %r" % self.inj
-            )
+        _require_positive(self.volume, "volume")
+        _require_positive(self.inj, "injectivity radius")
         if self.sigma is not None:
             if self.sigma % 2:
                 raise ValueError("signature must be even, got %r" % self.sigma)
             # the float side reads 2 * sigma
-            try:
-                float(2 * self.sigma)
-            except OverflowError:
-                raise ValueError(
-                    "signature of %d bits is outside the float range"
-                    % self.sigma.bit_length()
-                ) from None
+            _require_finite_number(2 * self.sigma, "twice the signature")
         if self.volume <= MIN_VOLUME:
             warnings.warn(
                 "volume %.4f not above %.4f" % (self.volume, MIN_VOLUME),
@@ -111,13 +97,10 @@ class KnotGeom:
 
 def natural_slope(c):
     """Re(longitude/meridian) = longitude * Re(meridian) / |meridian|^2."""
-    m = abs(c.meridian)
+    m = _modulus(c.meridian)
     if m * m == 0:
         raise ValueError("|meridian|^2 underflows to zero, meridian %r" % c.meridian)
-    slope = c.longitude * c.meridian.real / (m * m)
-    if not math.isfinite(slope):
-        raise ValueError("natural slope overflows, meridian %r" % c.meridian)
-    return slope
+    return _require_finite_number(c.longitude * c.meridian.real / (m * m), "natural slope")
 
 
 def slope_length(c, p, q):
@@ -129,9 +112,7 @@ def slope_length(c, p, q):
         length = abs(p * c.longitude + q * c.meridian)
     except OverflowError:
         length = math.inf
-    if not math.isfinite(length):
-        raise ValueError("length of the slope is outside the float range")
-    return length
+    return _require_finite_number(length, "length of the slope")
 
 
 @dataclass(frozen=True)
@@ -166,6 +147,7 @@ def surgery_hyperbolic_certificate(g, p, q, c1):
     the c1 error term. The boundary counts as uncertified."""
     sigma = g._require_sigma()
     _require_finite_number(c1, "c1")
+    _require_ints((p, q), "p and q")
     if p == 0:
         raise ValueError("p must be nonzero")
     if math.gcd(p, q) != 1:
@@ -200,7 +182,15 @@ def g4_lower_bound(g, c1):
     _require_finite_number(c1, "c1")
     slope = natural_slope(g.cusp)
     bound = abs(slope) / 4 - (c1 / 4) * g.volume / _inj_cubed(g)
-    return _require_finite(bound, "4-genus bound", g)
+    return _require_finite_number(bound, "4-genus bound")
+
+
+def _modulus(z):
+    # abs() raises OverflowError where |z| is beyond the floats
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _require_finite_number(x, what):
@@ -213,15 +203,19 @@ def _require_finite_number(x, what):
         ) from None
     if not finite:
         raise ValueError("%s must be finite, got %r" % (what, x))
+    return x
 
 
-def _require_finite(value, what, g):
-    if not math.isfinite(value):
-        raise ValueError(
-            "%s is outside the float range (volume %r, injectivity radius %r)"
-            % (what, g.volume, g.inj)
-        )
-    return value
+def _require_positive(x, what):
+    if not _require_finite_number(x, what) > 0:
+        raise ValueError("%s must be positive, got %r" % (what, x))
+    return x
+
+
+def _require_ints(values, what):
+    """Every value is an int, or a ValueError naming `what`."""
+    if not all(isinstance(v, int) for v in values):
+        raise ValueError("%s must be integers, got %r" % (what, tuple(values)))
 
 
 def _inj_cubed(g):
@@ -229,11 +223,7 @@ def _inj_cubed(g):
         cube = g.inj**3
     except OverflowError:
         cube = math.inf
-    if not 0 < cube < math.inf:
-        raise ValueError(
-            "injectivity radius %r cubed is outside the float range" % g.inj
-        )
-    return cube
+    return _require_positive(cube, "injectivity radius %r cubed" % g.inj)
 
 
 def c1_statistic(g):
@@ -241,8 +231,7 @@ def c1_statistic(g):
     slope-signature correlation."""
     sigma = g._require_sigma()
     residual = abs(2 * sigma - natural_slope(g.cusp))
-    c1 = residual * _inj_cubed(g) / g.volume
-    return _require_finite(c1, "c1 statistic", g)
+    return _require_finite_number(residual * _inj_cubed(g) / g.volume, "c1 statistic")
 
 
 def normalized_signature(g):

@@ -6,7 +6,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .cusp import _require_finite_number
+from .cusp import _require_finite_number, _require_ints, _require_positive
 from .torus import kappa
 
 # upper end of the admissible cutoff range for "short" geodesics
@@ -30,10 +30,8 @@ class GeodesicRecord:
         if self.linking_parity not in ("odd", "even"):
             raise ValueError("linking_parity must be 'odd' or 'even', got %r"
                              % self.linking_parity)
-        if self.tube_radius is not None and not 0 < self.tube_radius < math.inf:
-            raise ValueError(
-                "tube radius must be positive and finite, got %r" % self.tube_radius
-            )
+        if self.tube_radius is not None:
+            _require_positive(self.tube_radius, "tube radius")
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,7 @@ class TwistParam:
     q: int
 
     def __post_init__(self):
+        _require_ints((self.p, self.q), "p and q")
         if self.p % 2:
             raise ValueError("p must be even, got %r" % self.p)
         if self.q < 0 or self.q % 2 == 0:
@@ -54,10 +53,7 @@ class TwistParam:
 
 
 def _validate_length(cl):
-    if not 0 < cl.real < math.inf:
-        raise ValueError(
-            "complex length needs positive finite real part, got %r" % cl
-        )
+    _require_positive(cl.real, "real part of the complex length")
     if not -math.pi < cl.imag <= math.pi:
         raise ValueError(
             "imaginary part %r outside the principal band (-pi, pi]" % cl.imag
@@ -132,8 +128,8 @@ def tube_torus(cl, r):
     """Lattice generators (meridian, canonical longitude) of the boundary
     torus of a radius-r tube around a geodesic of complex length cl. A
     generator that is not finite is a ValueError."""
-    if not 0 < r < math.inf:
-        raise ValueError("tube radius must be positive and finite, got %r" % r)
+    _validate_length(cl)
+    _require_positive(r, "tube radius")
     try:
         sinh, cosh = math.sinh(r), math.cosh(r)
     except OverflowError:
@@ -162,22 +158,14 @@ def corrected_slope_estimate(slope, geos, epsilon, margulis=EPSILON_3):
     for g in _short_odd(geos, epsilon, margulis):
         tw = twisting_parameter(g.complex_length)
         correction += kappa(tw.p, tw.q).as_integer()
-    try:
-        return slope / 2 - correction
-    except OverflowError:
-        raise ValueError(
-            "correction of %d bits is outside the float range"
-            % correction.bit_length()
-        ) from None
+    return slope / 2 - _require_finite_number(correction, "correction")
 
 
 def _short_odd(geos, epsilon, margulis):
     # called only from the public functions above, so the warning names
     # their caller
-    if not (math.isfinite(epsilon) and math.isfinite(margulis)):
-        raise ValueError(
-            "cutoff %r and margulis constant %r must be finite" % (epsilon, margulis)
-        )
+    _require_finite_number(epsilon, "cutoff")
+    _require_finite_number(margulis, "margulis constant")
     if not 0 < epsilon < margulis:
         warnings.warn(
             "cutoff %g outside (0, %g); short-tube geometry is not guaranteed"

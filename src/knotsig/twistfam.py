@@ -12,6 +12,7 @@ from .braid import (
     invert_word,
     word_strands,
 )
+from .cusp import _require_ints
 from .diagram import DiagramCode, gl_signature
 
 
@@ -32,6 +33,7 @@ class TwistSpec:
             self, "regions", tuple(tuple(r) for r in self.regions)
         )
         k = word_strands(self.base_braid)
+        _require_ints([v for r in self.regions for v in r], "regions")
         for pos, start, count in self.regions:
             if not 0 <= pos <= len(self.base_braid):
                 raise ValueError("region position %d outside the word" % pos)
@@ -49,9 +51,10 @@ class TwistSpec:
 
 
 def _twist_word(start, count, q):
-    if q >= 0:
-        return full_twist_word(start, count) * q
-    return invert_word(full_twist_word(start, count) * -q)
+    if q == 0:
+        return []
+    word = full_twist_word(start, count) * abs(q)
+    return word if q > 0 else invert_word(word)
 
 
 def twisted_word(spec, q):
@@ -62,6 +65,7 @@ def twisted_word(spec, q):
         raise ValueError(
             "need %d twist counts, got %d" % (len(spec.regions), len(q))
         )
+    _require_ints(q, "twist counts")
     letters = len(spec.base_braid) + sum(
         abs(qi) * count * (count - 1) for (_, _, count), qi in zip(spec.regions, q)
     )
@@ -100,6 +104,8 @@ def predicted_signature(ell, q):
     -(ell^2 - 1) q / 2. Both are integers, since ell^2 - [ell odd] is even."""
     if len(ell) != len(q):
         raise ValueError("length mismatch: %d vs %d" % (len(ell), len(q)))
+    _require_ints(ell, "linking numbers")
+    _require_ints(q, "twist counts")
     return -sum((l * l - l % 2) * qi for l, qi in zip(ell, q)) // 2
 
 

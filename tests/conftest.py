@@ -1,3 +1,5 @@
+import os
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -7,4 +9,8 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+# a wider, still derandomized search: HYPOTHESIS_PROFILE=ci
+settings.register_profile(
+    "ci", parent=settings.get_profile("default"), max_examples=500
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -545,7 +545,7 @@ class TestExitCodes:
         def broken(d):
             raise RuntimeError("coherence moves did not terminate")
 
-        monkeypatch.setattr("knotsig.diagram.braid_word", broken)
+        monkeypatch.setattr("knotsig.cli.seifert_signature", broken)
         path = tmp_path / "trefoil.pd"
         path.write_text(TestDiagramCommands.TREFOIL, encoding="utf-8")
         rc = main(["signature", str(path), "--method", "seifert"])

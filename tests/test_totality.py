@@ -1,42 +1,82 @@
 """Totality of the scalar entry points: on non-integer, NaN, infinite and
 huge arguments every call returns or raises a ValueError subclass within a
-wall-time budget. SIGALRM enforces the budget, so these tests need POSIX
-signals and the main thread."""
+wall-time and memory budget. SIGALRM and a soft RLIMIT_AS, sized from
+/proc/self/statm, enforce the budget, so these tests need Linux and the
+main thread."""
 
 import math
+import resource
 import signal
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from knotsig import census, cusp, geodesic, torus
+from knotsig import braid, census, cusp, geodesic, torus, twistfam
+from knotsig.diagram import DiagramCode
 
 from test_census import SAMPLE
 
 BUDGET_S = 2
+# address space a call may add to what the process already maps
+BUDGET_BYTES = 2**30
 
 
-class BudgetExceeded(Exception):
-    pass
+class BudgetExceeded(BaseException):
+    """Not an Exception, so Hypothesis stops at the first overrun: shrinking
+    one walks toward the budget's edge, where a replay can pass."""
 
 
-def _expire(signum, frame):
-    raise BudgetExceeded("call ran past its budget")
+def _address_space_cap(soft):
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = mapped + BUDGET_BYTES
+    return cap if soft == resource.RLIM_INFINITY else min(cap, soft)
 
 
 def call_within_budget(fn, args, seconds=BUDGET_S):
-    """fn(*args), or the ValueError it raised; any other exception, or a
-    call that runs past `seconds` (a whole number), fails the test."""
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.alarm(seconds)
+    """fn(*args), or the ValueError it raised; any other exception fails
+    the test. A call that runs past `seconds` (a whole number) or past
+    BUDGET_BYTES of new address space fails it as a BudgetExceeded that
+    names the call: SIGALRM interrupts Python code, while one long C-level
+    operation is caught by its elapsed time or by its MemoryError."""
+    late = "ran past its %d s budget" % seconds
+
+    def expire(signum, frame):
+        raise BudgetExceeded("%s%r %s" % (fn.__name__, tuple(args), late))
+
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    previous = signal.signal(signal.SIGALRM, expire)
+    start = time.monotonic()
+    result = why = None
     try:
-        return fn(*args)
-    except ValueError as exc:
-        return exc
+        try:
+            resource.setrlimit(
+                resource.RLIMIT_AS, (_address_space_cap(limits[0]), limits[1])
+            )
+            signal.alarm(seconds)
+            result = fn(*args)
+        except ValueError as exc:
+            result = exc
+        except BudgetExceeded:
+            why = late
+        except MemoryError:
+            why = "ran out of its memory budget"
+        finally:
+            # restored first: a pending alarm may raise after any call here
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+            signal.alarm(0)
     finally:
-        signal.alarm(0)
+        # runs the expire handler if the alarm is still pending
         signal.signal(signal.SIGALRM, previous)
+    if why is None and time.monotonic() - start > seconds:
+        why, result = late, None
+    if why is not None:
+        # raised past the except clauses, so that a failure report keeps no
+        # frame of fn, nor the memory those frames hold
+        raise BudgetExceeded("%s%r %s" % (fn.__name__, tuple(args), why))
+    return result
 
 
 SAMPLE_ROWS = census.derive(census.ingest(SAMPLE)).rows
@@ -48,6 +88,34 @@ def aggregate_sample(envelope_b, envelope_c):
 
 # the 6_1 row of the sample census
 GEOM = cusp.KnotGeom(cusp.CuspShape(3.9279, 0.7237 + 1.016j), 3.1639, 0.55, 0)
+# one short geodesic of each linking parity, both of twist (-2, 1)
+GEOS = [
+    geodesic.GeodesicRecord(complex(0.2, math.pi), "odd"),
+    geodesic.GeodesicRecord(complex(0.2, math.pi), "even"),
+]
+# the trefoil's braid with one 2-strand twist region at its end
+SPEC = twistfam.TwistSpec((1, 1, 1), ((3, 1, 2),))
+
+
+def slope_of(longitude, meridian):
+    return cusp.natural_slope(cusp.CuspShape(longitude, meridian))
+
+
+def c1_of(volume, inj, sigma):
+    return cusp.c1_statistic(cusp.KnotGeom(GEOM.cusp, volume, inj, sigma))
+
+
+def predicted_center(ell, q):
+    # the center is an exact integer, never a float
+    center = twistfam.predicted_signature(ell, q)
+    assert isinstance(center, int), center
+    return center
+
+
+def tube_of_record(complex_length, parity, radius):
+    # the fields of an accepted record are valid tube_torus arguments
+    g = geodesic.GeodesicRecord(complex_length, parity, radius)
+    return geodesic.tube_torus(g.complex_length, g.tube_radius)
 
 
 # every float, NaN, the infinities and the largest magnitudes included, and
@@ -59,6 +127,7 @@ huge_or_not = st.one_of(non_integers, st.integers(-(10**40), 10**40))
 # integers far beyond the float range too
 huge_ints = st.integers(-(10**400), 10**400)
 huge_reals = st.one_of(st.floats(), huge_ints)
+huge_complex = st.one_of(huge_reals, st.complex_numbers())
 # coprime pairs p >= 2, q = k p +- 1 >= 3, small and up to about 10**40: the
 # draws above are almost never such a pair, and never a large one
 coprime_pairs = st.builds(
@@ -89,11 +158,49 @@ CASES = {
         geodesic.corrected_slope_estimate,
         st.tuples(huge_reals, st.just([]), st.just(0.5)),
     ),
-    "tube_torus": (geodesic.tube_torus, st.tuples(st.complex_numbers(), st.floats())),
-    "aggregate": (aggregate_sample, st.tuples(st.floats(), st.floats())),
+    "tube_torus": (geodesic.tube_torus, st.tuples(huge_complex, huge_reals)),
+    "aggregate": (aggregate_sample, st.tuples(huge_reals, huge_reals)),
+    "CuspShape": (cusp.CuspShape, st.tuples(huge_reals, huge_complex)),
+    "KnotGeom": (
+        cusp.KnotGeom,
+        st.tuples(st.just(GEOM.cusp), huge_reals, huge_reals, st.one_of(st.none(), huge_ints)),
+    ),
+    "GeodesicRecord": (
+        tube_of_record,
+        st.tuples(huge_complex, st.sampled_from(("odd", "even")), huge_reals),
+    ),
+    "natural_slope": (slope_of, st.tuples(huge_reals, huge_complex)),
+    "c1_statistic": (c1_of, st.tuples(huge_reals, huge_reals, st.just(0))),
+    "odd_geo_filter": (geodesic.odd_geo_filter, st.tuples(st.just(GEOS), huge_reals, huge_reals)),
+    "corrected_slope_estimate_cutoffs": (
+        geodesic.corrected_slope_estimate,
+        st.tuples(st.just(1.0), st.just(GEOS), huge_reals, huge_reals),
+    ),
+    "surgery_hyperbolic_certificate_pq": (
+        cusp.surgery_hyperbolic_certificate,
+        st.tuples(st.just(GEOM), huge_or_not, huge_or_not, st.just(0.3)),
+    ),
+    "TwistParam": (geodesic.TwistParam, st.tuples(huge_or_not, huge_or_not)),
+    "twisted_word": (twistfam.twisted_word, st.tuples(st.just(SPEC), st.tuples(huge_or_not))),
+    "twist_insert": (twistfam.twist_insert, st.tuples(st.just(SPEC), st.tuples(huge_or_not))),
+    "TwistSpec": (
+        twistfam.TwistSpec,
+        st.tuples(
+            st.lists(huge_or_not, max_size=4),
+            st.lists(st.tuples(huge_or_not, huge_or_not, huge_or_not), max_size=2),
+        ),
+    ),
+    "from_braid_word": (DiagramCode.from_braid_word, st.tuples(st.lists(huge_or_not, max_size=6))),
+    "full_twist_word": (braid.full_twist_word, st.tuples(huge_or_not, huge_or_not)),
+    "predicted_signature": (
+        predicted_center,
+        st.tuples(st.tuples(huge_or_not), st.tuples(huge_or_not)),
+    ),
 }
 
 
+# a drawn cutoff or cusp shape may warn; the warnings are not under test
+@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", sorted(CASES))
 @given(data=st.data())
 def test_returns_or_raises_value_error_within_budget(name, data):
@@ -132,6 +239,24 @@ def test_returns_or_raises_value_error_within_budget(name, data):
         (cusp.exceptional_window, (1.0, math.nan)),
         (cusp.exceptional_window, (1.0, math.inf)),
         (cusp.exceptional_window, (1.0, 2.5)),
+        (slope_of, (10**400, 1 + 1j)),
+        (c1_of, (10**400, GEOM.inj, 0)),
+        (c1_of, (GEOM.volume, 10**400, 0)),
+        (geodesic.corrected_slope_estimate, (1.0, [], 10**400)),
+        (geodesic.odd_geo_filter, ([], 10**400)),
+        (aggregate_sample, (10**400, 2.0)),
+        (geodesic.GeodesicRecord, (0.1 + 1j, "odd", 10**400)),
+        (cusp.surgery_hyperbolic_certificate, (GEOM, 1.5, 2, 0.3)),
+        (cusp.surgery_hyperbolic_certificate, (GEOM, 3, math.nan, 0.3)),
+        (geodesic.TwistParam, (2.0, 1.0)),
+        (twistfam.twisted_word, (SPEC, (1.5,))),
+        (twistfam.twist_insert, (SPEC, (1.5,))),
+        (twistfam.TwistSpec, ((1.0, 1, 1), ())),
+        (twistfam.TwistSpec, ((1, 1, 1), ((3.0, 1, 2),))),
+        (DiagramCode.from_braid_word, ([1.5] * 3,)),
+        (braid.full_twist_word, (1.5, 2)),
+        (predicted_center, ((1.5,), (2,))),
+        (geodesic.tube_torus, (10**400, 1.0)),
     ],
 )
 def test_reported_inputs_raise_value_error(fn, args):
