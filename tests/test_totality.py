@@ -59,8 +59,6 @@ def call_within_budget(fn, args, seconds=BUDGET_S):
             result = fn(*args)
         except ValueError as exc:
             result = exc
-        except BudgetExceeded:
-            why = late
         except MemoryError:
             why = "ran out of its memory budget"
         finally:
@@ -73,8 +71,8 @@ def call_within_budget(fn, args, seconds=BUDGET_S):
     if why is None and time.monotonic() - start > seconds:
         why, result = late, None
     if why is not None:
-        # raised past the except clauses, so that a failure report keeps no
-        # frame of fn, nor the memory those frames hold
+        # raised past the except clauses, so that the report keeps no frame
+        # of fn, nor the memory those frames hold
         raise BudgetExceeded("%s%r %s" % (fn.__name__, tuple(args), why))
     return result
 
