@@ -63,18 +63,36 @@ def closure_is_knot(word):
     return len(seen) == len(perm)
 
 
-def _letter_tuples(word, strands):
-    """Crossing tuples for the open braid, all strands upward; returns the
-    tuples and the edge ids across the top. Edges 1..strands enter at the
-    bottom, two fresh edges are created per letter (top-left, top-right)."""
+def trace_closure_tuples(word):
+    """PD tuples of the braid's trace closure, in the strict convention
+    (slot 0 of every tuple is the incoming under-strand), with every arc
+    labelled once: the bottom edges are 1..strands, a position's top edge
+    is its bottom edge, and every other edge is numbered in the order the
+    letters create it, two per letter (top-left, then top-right)."""
+    if not closure_is_knot(word):
+        raise ValueError("closure is not a knot (multiple components)")
+    strands = word_strands(word)
+    # last[j]: the last letter at position j, whose top edge there closes up
+    last = [0] * strands
+    for k, letter in enumerate(word):
+        i = abs(letter) - 1
+        last[i] = last[i + 1] = k
     cur = list(range(1, strands + 1))
-    next_edge = strands + 1
+    fresh = strands + 1
     tuples = []
-    for letter in word:
+    for k, letter in enumerate(word):
         i = abs(letter) - 1
         left, right = cur[i], cur[i + 1]
-        top_left, top_right = next_edge, next_edge + 1
-        next_edge += 2
+        if last[i] == k:
+            top_left = i + 1
+        else:
+            top_left = fresh
+            fresh += 1
+        if last[i + 1] == k:
+            top_right = i + 2
+        else:
+            top_right = fresh
+            fresh += 1
         if letter > 0:
             # under-strand right -> top-left, over-strand left -> top-right
             tuples.append((right, top_right, top_left, left))
@@ -82,27 +100,7 @@ def _letter_tuples(word, strands):
             # under-strand left -> top-right, over-strand right -> top-left
             tuples.append((left, right, top_right, top_left))
         cur[i], cur[i + 1] = top_left, top_right
-    return tuples, cur
-
-
-def relabel_tuples(tuples):
-    """Rename edge labels order-preservingly to 1..2n."""
-    labels = sorted({e for t in tuples for e in t})
-    remap = {e: i + 1 for i, e in enumerate(labels)}
-    return [tuple(remap[e] for e in t) for t in tuples]
-
-
-def trace_closure_tuples(word):
-    """PD tuples of the braid's trace closure, in the strict convention
-    (slot 0 of every tuple is the incoming under-strand)."""
-    if not closure_is_knot(word):
-        raise ValueError("closure is not a knot (multiple components)")
-    if not word:
-        return []
-    tuples, top = _letter_tuples(word, word_strands(word))
-    merged = {e: j + 1 for j, e in enumerate(top)}
-    out = [tuple(merged.get(e, e) for e in t) for t in tuples]
-    return relabel_tuples(out)
+    return tuples
 
 
 def full_twist_word(start, size):

@@ -329,7 +329,24 @@ def emit(report, out_dir):
         "slope_vs_sig": [[d.slope, d.row.sigma] for d in report.rows],
         "c1_by_crossing": [[c, mx, mean] for c, mx, mean in report.c1_by_crossing],
     }
-    json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    json_path.write_text(_plots_json(payload), encoding="utf-8")
     return csv_path, json_path
+
+
+def _plots_json(payload):
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte,
+    for a dict whose values are numbers or lists of lists of numbers.
+    With an indent, json writes through its pure-Python encoder; here its
+    C encoder writes each value on one line, and the line breaks go in by
+    replacing separators, which no number contains."""
+    lines = []
+    for key in sorted(payload):
+        text = json.dumps(payload[key])
+        if text.startswith("[["):
+            text = "[\n    [\n      " + text[2:-2] + "\n    ]\n  ]"
+            text = text.replace(", ", ",\n      ")
+            text = text.replace("],\n      [", "\n    ],\n    [\n      ")
+            # an empty row is the one place a break follows a break
+            text = text.replace("[\n      \n    ]", "[]")
+        lines.append("  %s: %s" % (json.dumps(key), text))
+    return "{\n%s\n}\n" % ",\n".join(lines) if lines else "{}\n"

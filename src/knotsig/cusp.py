@@ -106,6 +106,7 @@ def natural_slope(c):
 def slope_length(c, p, q):
     """Euclidean length |p*longitude + q*meridian| of the (p,q) filling
     curve on the cusp torus."""
+    _require_ints((p, q), "p and q")
     if p == 0 and q == 0:
         raise ValueError("(0, 0) is not a slope")
     try:

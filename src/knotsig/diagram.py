@@ -20,9 +20,16 @@ i = 4c + s, slot s of crossing c. One pass over the labels checks them
 and pairs the two ends of every arc (`other[i]`); the walk along the
 strand is then the cycle of i -> other[i ^ 2] and the faces are the cycles
 of i -> other[(i & ~3) | ((i + 1) & 3)]. The Seifert circles are worked
-out on first read, since only the Seifert side reads them. `checkerboard`
-colours the faces for itself, and `braided_path` reads the circle order
-off the Seifert graph. Each Vogel move builds one new geometry.
+out on first read, since only the Seifert side reads them. `braided_path`
+reads the circle order off the Seifert graph. Each Vogel move builds one
+new geometry.
+
+`checkerboard` colours the faces for itself, from the walk alone: the face
+left of the walk changes colour at every crossing, so the even and the odd
+arrivals (`walk[0::2]`, `walk[1::2]`) each colour the faces on their two
+sides, one colour left and the other right. A crossing's white pair is
+then read off the colours of its four corners, and the form is summed on
+lists indexed by face, one dict of nonzeros per white face.
 """
 
 import heapq
@@ -35,7 +42,6 @@ from itertools import chain, compress
 from .braid import (
     closure_is_knot,
     collins_seifert_matrix,
-    relabel_tuples,
     trace_closure_tuples,
     word_strands,
 )
@@ -173,6 +179,13 @@ def _arc_ends(tuples, labels):
             raise _label_error(tuples)
     # 4n ends on 2n labels, none with a third end: each has exactly two
     return other
+
+
+def relabel_tuples(tuples):
+    """Rename edge labels order-preservingly to 1..2n."""
+    labels = sorted({e for t in tuples for e in t})
+    remap = {e: i + 1 for i, e in enumerate(labels)}
+    return [tuple(remap[e] for e in t) for t in tuples]
 
 
 def _label_error(tuples):
@@ -377,8 +390,9 @@ class _Geometry:
 def checkerboard(d):
     """Goeritz form of the white surface, less the outer face's row and
     column, plus the type-II correction. The form is accumulated as rows
-    of nonzeros, crossing by crossing; each diagonal entry is minus the
-    sum of the rest of its row in the unreduced form."""
+    of nonzeros, crossing by crossing, on lists indexed by face; each
+    diagonal entry is minus the sum of the rest of its row in the
+    unreduced form."""
     g = d._geom
     if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
@@ -387,40 +401,50 @@ def checkerboard(d):
     # the face right of the walk the one between s and s + 1. A colouring
     # that is not a checkerboard leaves some crossing without a diagonal
     # white pair
-    face_of = g.face_of
+    face_of, walk = g.face_of, g.walk
     colour = [0] * len(g.faces)
-    for i, a in enumerate(g.walk):
-        colour[face_of[(a & ~3) | ((a - 1) & 3)]] = i % 2
-        colour[face_of[a]] = 1 - i % 2
+    for x, arrivals in ((0, walk[0::2]), (1, walk[1::2])):
+        for a in arrivals:
+            colour[face_of[(a & ~3) | ((a - 1) & 3)]] = x
+            colour[face_of[a]] = 1 - x
     outer = face_of[0]
     white = colour[outer]
-    whites = [f for f in range(len(g.faces)) if colour[f] == white and f != outer]
-    windex = {f: i for i, f in enumerate(whites)}
-    off = defaultdict(Counter)
+    # row[f]: the row of white face f; -1 for the outer face, whose row
+    # and column are dropped, and for the black faces
+    row = [-1] * len(colour)
+    size = 0
+    for f, x in enumerate(colour):
+        if x == white and f != outer:
+            row[f] = size
+            size += 1
+    is_white = [x == white for x in colour]
+    rows = [{} for _ in range(size)]
+    # diag[-1] gathers the outer face's diagonal, which is dropped
+    diag = [0] * (size + 1)
     correction = 0
-    for c in range(d.n):
-        corners = face_of[4 * c:4 * c + 4]
-        ks = [k for k in range(4) if colour[corners[k]] == white]
-        if ks == [0, 2]:
-            orient = 1
-        elif ks == [1, 3]:
-            orient = -1
+    corners = zip(g.signs, face_of[0::4], face_of[1::4], face_of[2::4], face_of[3::4])
+    for c, (sign, f0, f1, f2, f3) in enumerate(corners):
+        w0, w1, w2, w3 = is_white[f0], is_white[f1], is_white[f2], is_white[f3]
+        if w0 and w2 and not (w1 or w3):
+            orient, fi, fj = 1, f0, f2
+        elif w1 and w3 and not (w0 or w2):
+            orient, fi, fj = -1, f1, f3
         else:
             raise PDSyntaxError("crossing %d lacks a diagonal white pair" % c)
         # the white-corner orientation is the Goeritz sign of the crossing,
         # and the crossing is type II when its sign agrees with it; each
         # other sign convention fails the cross-pipeline test battery
-        if g.signs[c] == orient:
+        if sign == orient:
             correction -= orient
-        fi, fj = corners[ks[0]], corners[ks[1]]
         if fi != fj:
-            off[fi][fj] -= orient
-            off[fj][fi] -= orient
-    rows = []
-    for f in whites:
-        row = {windex[h]: x for h, x in off[f].items() if h != outer}
-        row[windex[f]] = -sum(off[f].values())
-        rows.append(row)
+            i, j = row[fi], row[fj]
+            diag[i] += orient
+            diag[j] += orient
+            if i >= 0 and j >= 0:
+                rows[i][j] = rows[i].get(j, 0) - orient
+                rows[j][i] = rows[j].get(i, 0) - orient
+    for i, r in enumerate(rows):
+        r[i] = diag[i]
     return GoeritzData(SymIntMatrix.from_nonzeros(rows), correction)
 
 

@@ -95,6 +95,8 @@ def predicted_slope(ell, q):
     """Asymptotic slope center -sum(ell[i]^2 * q[i])."""
     if len(ell) != len(q):
         raise ValueError("length mismatch: %d vs %d" % (len(ell), len(q)))
+    _require_ints(ell, "linking numbers")
+    _require_ints(q, "twist counts")
     return -sum(l * l * qi for l, qi in zip(ell, q))
 
 

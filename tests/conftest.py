@@ -1,6 +1,6 @@
 import os
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
     "default",
@@ -8,6 +8,9 @@ settings.register_profile(
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
+    # no explain phase: it traces every shrink step with sys.settrace, which
+    # can push a budgeted call past its budget while a real failure shrinks
+    phases=[p for p in Phase if p is not Phase.explain],
 )
 # a wider, still derandomized search: HYPOTHESIS_PROFILE=ci
 settings.register_profile(

@@ -2,8 +2,9 @@
 use: plat closures, random knot words, mirrors, kinks and the fixture-file
 reader. The package's own pipelines never call them."""
 
-from knotsig.braid import _letter_tuples, closure_is_knot, relabel_tuples, word_strands
-from knotsig.diagram import DiagramCode, PDSyntaxError, parse_pd
+from knotsig.braid import closure_is_knot, word_strands
+from knotsig.diagram import DiagramCode, PDSyntaxError, parse_pd, relabel_tuples
+from oracles import letter_tuples
 
 
 def plat_closure_tuples(word, strands=None):
@@ -21,7 +22,7 @@ def plat_closure_tuples(word, strands=None):
         raise ValueError("word needs %d strands, more than %d" % (need, strands))
     if strands % 2:
         raise ValueError("plat closure needs an even strand count")
-    tuples, top = _letter_tuples(word, strands)
+    tuples, top = letter_tuples(word, strands)
 
     parent = {}
 

@@ -6,9 +6,11 @@ hand-rolled Sturm chain over Fractions, the package's former dense
 elimination is kept as a second inertia reference and its former sparse
 elimination, with one pivot stamp per row, as the reference for the pivot
 sequence, the twisting parameter is found by a numpy grid scan and by an
-exact scan of lines of fixed q, and the torus correction term is
-recomputed one reduction rule at a time with no closed-form shortcuts, and
-the diagram geometry is rebuilt by the package's former dict-based walk.
+exact scan of lines of fixed q, the torus correction term is
+recomputed one reduction rule at a time with no closed-form shortcuts, the
+diagram geometry is rebuilt by the package's former dict-based walk, and
+the package's former trace closure (label every edge, then merge and
+rename) and Goeritz form (counters keyed by face) are kept as references.
 """
 
 import math
@@ -20,7 +22,15 @@ from itertools import chain
 import numpy as np
 import sympy
 
-from knotsig.diagram import ArcMultiplicityError, MultiComponentError, PDSyntaxError
+from knotsig.braid import closure_is_knot, word_strands
+from knotsig.diagram import (
+    ArcMultiplicityError,
+    GoeritzData,
+    MultiComponentError,
+    PDSyntaxError,
+    relabel_tuples,
+)
+from knotsig.exactlin import SymIntMatrix
 
 
 def brute_force_twisting(cl, tol=1e-9):
@@ -538,3 +548,80 @@ class GeometryReference:
                 if s1 == s2 and k1 != k2:
                     return min(e1, e2), max(e1, e2), s1
         return None
+
+
+def letter_tuples(word, strands):
+    """Crossing tuples for the open braid, all strands upward; returns the
+    tuples and the edge ids across the top. Edges 1..strands enter at the
+    bottom, two fresh edges are created per letter (top-left, top-right)."""
+    cur = list(range(1, strands + 1))
+    next_edge = strands + 1
+    tuples = []
+    for letter in word:
+        i = abs(letter) - 1
+        left, right = cur[i], cur[i + 1]
+        top_left, top_right = next_edge, next_edge + 1
+        next_edge += 2
+        if letter > 0:
+            # under-strand right -> top-left, over-strand left -> top-right
+            tuples.append((right, top_right, top_left, left))
+        else:
+            # under-strand left -> top-right, over-strand right -> top-left
+            tuples.append((left, right, top_right, top_left))
+        cur[i], cur[i + 1] = top_left, top_right
+    return tuples, cur
+
+
+def trace_closure_reference(word):
+    """The package's former trace closure: the open braid's tuples, each
+    top edge merged into the bottom edge of its position, then every label
+    renamed in order to 1..2n."""
+    if not closure_is_knot(word):
+        raise ValueError("closure is not a knot (multiple components)")
+    if not word:
+        return []
+    tuples, top = letter_tuples(word, word_strands(word))
+    merged = {e: j + 1 for j, e in enumerate(top)}
+    out = [tuple(merged.get(e, e) for e in t) for t in tuples]
+    return relabel_tuples(out)
+
+
+def checkerboard_reference(d):
+    """The package's former Goeritz form: faces coloured along the walk in
+    walk order, the off-diagonal entries summed in a Counter per face and
+    each crossing's white corners listed."""
+    g = d._geom
+    if g.n == 0:
+        return GoeritzData(SymIntMatrix([]), 0)
+    face_of = g.face_of
+    colour = [0] * len(g.faces)
+    for i, a in enumerate(g.walk):
+        colour[face_of[(a & ~3) | ((a - 1) & 3)]] = i % 2
+        colour[face_of[a]] = 1 - i % 2
+    outer = face_of[0]
+    white = colour[outer]
+    whites = [f for f in range(len(g.faces)) if colour[f] == white and f != outer]
+    windex = {f: i for i, f in enumerate(whites)}
+    off = defaultdict(Counter)
+    correction = 0
+    for c in range(d.n):
+        corners = face_of[4 * c:4 * c + 4]
+        ks = [k for k in range(4) if colour[corners[k]] == white]
+        if ks == [0, 2]:
+            orient = 1
+        elif ks == [1, 3]:
+            orient = -1
+        else:
+            raise PDSyntaxError("crossing %d lacks a diagonal white pair" % c)
+        if g.signs[c] == orient:
+            correction -= orient
+        fi, fj = corners[ks[0]], corners[ks[1]]
+        if fi != fj:
+            off[fi][fj] -= orient
+            off[fj][fi] -= orient
+    rows = []
+    for f in whites:
+        row = {windex[h]: x for h, x in off[f].items() if h != outer}
+        row[windex[f]] = -sum(off[f].values())
+        rows.append(row)
+    return GoeritzData(SymIntMatrix.from_nonzeros(rows), correction)

@@ -7,9 +7,17 @@ import sympy
 from hypothesis import given, strategies as st
 
 from diagrams import plat_closure_tuples, random_knot_word
+from oracles import trace_closure_reference
 
-from knotsig import braid
+from knotsig import braid, twistfam
 from knotsig.exactlin import SymIntMatrix, signature
+
+# 3-strand twist regions: the trefoil's braid with one 2-strand region at
+# its end, and {"base_braid": [1, -2], "regions": [[0, 1, 3]]}
+TWIST_SPECS = (
+    twistfam.TwistSpec((1, 1, 1), ((3, 1, 2),)),
+    twistfam.TwistSpec((1, -2), ((0, 1, 3),)),
+)
 
 
 def clean_words(max_strands=5, max_len=12):
@@ -21,6 +29,29 @@ def clean_words(max_strands=5, max_len=12):
             max_size=max_len,
         ).map(lambda w: (w, s))
     )
+
+
+@st.composite
+def closing_words(draw, min_strands=1, max_strands=8, max_extra=12):
+    """Words on min_strands..max_strands strands, all used, whose trace
+    closure is a knot; on one strand that is the empty word."""
+    strands = draw(st.integers(min_strands, max_strands))
+    if strands == 1:
+        return []
+    length = strands - 1 + 2 * draw(st.integers(0, max_extra))
+    return random_knot_word(draw(st.randoms(use_true_random=False)), strands, length)
+
+
+def assert_closure_matches_reference(word):
+    """Equal tuples, or the same ValueError, as the former closure."""
+    try:
+        want = trace_closure_reference(word)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            braid.trace_closure_tuples(word)
+        assert str(got.value) == str(err)
+    else:
+        assert braid.trace_closure_tuples(word) == want
 
 
 class TestWords:
@@ -104,6 +135,23 @@ class TestTraceClosure:
                 counts[e] = counts.get(e, 0) + 1
         assert sorted(counts) == list(range(1, 2 * len(word) + 1))
         assert all(c == 2 for c in counts.values())
+
+    @given(closing_words())
+    def test_knot_words_match_reference(self, word):
+        assert_closure_matches_reference(word)
+
+    @given(clean_words(max_strands=8, max_len=30))
+    def test_any_word_matches_reference(self, ws):
+        # links and words that leave a strand uncrossed raise the same error
+        assert_closure_matches_reference(ws[0])
+
+    @given(st.integers(2, 12), st.integers(1, 40))
+    def test_torus_words_match_reference(self, p, q):
+        assert_closure_matches_reference(list(range(1, p)) * q)
+
+    @given(st.sampled_from(TWIST_SPECS), st.integers(-40, 40))
+    def test_twisted_words_match_reference(self, spec, q):
+        assert_closure_matches_reference(twistfam.twisted_word(spec, (q,)))
 
 
 class TestPlatClosure:

@@ -1,10 +1,12 @@
 """Census ingestion, derived statistics, and deterministic emission."""
 
 import importlib.resources
+import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 
 from knotsig import census
 from knotsig.census import CensusFormatError, CensusRow
@@ -190,10 +192,19 @@ class TestSignAgreement:
         assert census.sign_agreement([row]) == 0.0
 
 
+# every float, -0.0, NaN and the infinities among them, and integers far
+# beyond 2**63
+numbers = st.one_of(
+    st.floats(),
+    st.sampled_from((-0.0, math.nan, math.inf, -math.inf, 2**63, -(2**63) - 1)),
+    st.integers(-(2**200), 2**200),
+)
+# lists of rows, either of them possibly empty, as emit's payload holds
+number_rows = st.lists(st.lists(numbers, max_size=4), max_size=6)
+
+
 class TestEmit:
     def test_schema_keys(self, tmp_path):
-        import json
-
         report = census.derive(census.ingest(SAMPLE))
         _, json_path = census.emit(report, tmp_path)
         payload = json.loads(json_path.read_text(encoding="utf-8"))
@@ -214,8 +225,6 @@ class TestEmit:
         assert j1.read_bytes() == j2.read_bytes()
 
     def test_empty_report_emits_valid_files(self, tmp_path):
-        import json
-
         c, j = census.emit(census.derive([]), tmp_path)
         assert c.read_text(encoding="utf-8").startswith("name,")
         assert json.loads(j.read_text(encoding="utf-8"))["c1_hist"] == []
@@ -227,6 +236,25 @@ class TestEmit:
         c2, j2 = census.emit(report2, tmp_path / "two")
         assert c1.read_bytes() == c2.read_bytes()
         assert j1.read_bytes() == j2.read_bytes()
+
+    def test_plots_json_is_the_indented_dump(self, tmp_path):
+        _, j = census.emit(census.derive(census.ingest(SAMPLE)), tmp_path)
+        text = j.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @given(
+        st.fixed_dictionaries(
+            {
+                "schema_version": numbers,
+                "c1_hist": number_rows,
+                "slope_vs_sig": number_rows,
+                "c1_by_crossing": number_rows,
+            }
+        )
+    )
+    def test_plots_json_matches_the_indenting_encoder(self, payload):
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert census._plots_json(payload) == want
 
     def test_uses_lf_line_endings(self, tmp_path):
         c, _ = census.emit(census.derive(census.ingest(SAMPLE)), tmp_path)

@@ -1,7 +1,9 @@
 """Diagram parsing, the Goeritz pipeline, and the Seifert pipeline."""
 
 import importlib.resources
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -14,9 +16,10 @@ from diagrams import (
     plat_closure_tuples,
     random_knot_word,
 )
-from oracles import geometry_reference
+from oracles import checkerboard_reference, geometry_reference
+from test_braid import TWIST_SPECS, closing_words
 
-from knotsig import braid, diagram
+from knotsig import braid, diagram, twistfam
 from knotsig.diagram import (
     ArcMultiplicityError,
     DiagramCode,
@@ -413,6 +416,81 @@ class TestCheckerboard:
             d = DiagramCode.from_braid_word(word)
             assert gl_signature(d) == expected, word
             assert seifert_signature(d) == expected, word
+
+
+def assert_goeritz_matches_reference(d):
+    assert checkerboard(d) == checkerboard_reference(d)
+
+
+def plat_codes():
+    """Knot diagrams of plat closures on 4, 6 or 8 strands."""
+
+    def build(args):
+        strands, word = args
+        try:
+            return DiagramCode.from_tuples(plat_closure_tuples(word, strands))
+        except MultiComponentError:
+            return None
+
+    words = st.sampled_from((4, 6, 8)).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.builds(lambda i, e: i * e, st.integers(1, n - 1), st.sampled_from((1, -1))),
+                min_size=1,
+                max_size=3 * n,
+            ),
+        )
+    )
+    return words.map(build).filter(lambda d: d is not None)
+
+
+class TestCheckerboardReference:
+    """`checkerboard` returns what the former counter-based form did."""
+
+    @given(closing_words(), st.sampled_from((1, -1)))
+    def test_knot_words_mirrors_and_kinks(self, word, sign):
+        d = DiagramCode.from_braid_word(word)
+        for code in (d, mirror_diagram(d), insert_kink(d, sign)):
+            assert_goeritz_matches_reference(code)
+
+    @given(st.integers(2, 9), st.integers(1, 30))
+    def test_torus_codes(self, p, q):
+        if math.gcd(p, q) == 1:
+            assert_goeritz_matches_reference(torus_pd(p, q))
+
+    @given(st.sampled_from(TWIST_SPECS), st.integers(-40, 40))
+    def test_twisted_codes(self, spec, q):
+        assert_goeritz_matches_reference(twistfam.twist_insert(spec, (q,)))
+
+    @given(plat_codes())
+    def test_plats(self, d):
+        assert_goeritz_matches_reference(d)
+
+    def test_corpus_mirrors_and_kinks(self):
+        for d in load_fixture_file(CORPUS).values():
+            for code in (d, mirror_diagram(d), insert_kink(d, 1), insert_kink(d, -1)):
+                assert_goeritz_matches_reference(code)
+
+    @given(closing_words(min_strands=2), st.data())
+    def test_lacks_a_diagonal_white_pair(self, word, data):
+        # Point one corner of crossing c at the face of the corner before
+        # it, which has the other colour. No arrival reads that corner (2
+        # when the over-strand arrives at slot 1, a negative crossing; 1
+        # when at slot 3), so the colouring stays as it was and c is the
+        # first crossing left without a diagonal white pair.
+        d = DiagramCode.from_braid_word(word)
+        c = data.draw(st.integers(0, d.n - 1))
+        k = 4 * c + (2 if d.signs[c] < 0 else 1)
+        face_of = list(d._geom.face_of)
+        face_of[k] = face_of[k - 1]
+        geom = SimpleNamespace(**{**vars(d._geom), "face_of": face_of})
+        bad = SimpleNamespace(_geom=geom, n=d.n)
+        message = "crossing %d lacks a diagonal white pair" % c
+        for build in (checkerboard, checkerboard_reference):
+            with pytest.raises(PDSyntaxError) as err:
+                build(bad)
+            assert str(err.value) == message
 
 
 class TestSeifert:

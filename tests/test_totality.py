@@ -194,6 +194,11 @@ CASES = {
         predicted_center,
         st.tuples(st.tuples(huge_or_not), st.tuples(huge_or_not)),
     ),
+    "predicted_slope": (
+        twistfam.predicted_slope,
+        st.tuples(st.tuples(huge_or_not), st.tuples(huge_or_not)),
+    ),
+    "slope_length": (cusp.slope_length, st.tuples(st.just(GEOM.cusp), huge_or_not, huge_or_not)),
 }
 
 
@@ -255,6 +260,10 @@ def test_returns_or_raises_value_error_within_budget(name, data):
         (braid.full_twist_word, (1.5, 2)),
         (predicted_center, ((1.5,), (2,))),
         (geodesic.tube_torus, (10**400, 1.0)),
+        (twistfam.predicted_slope, ((1.5,), (2,))),
+        (twistfam.predicted_slope, ((2,), (0.5,))),
+        (cusp.slope_length, (GEOM.cusp, 1.5, 0.5)),
+        (cusp.slope_length, (GEOM.cusp, 2, math.nan)),
     ],
 )
 def test_reported_inputs_raise_value_error(fn, args):
