@@ -17,12 +17,13 @@ from .cusp import _require_ints
 
 # The longest braid word the package builds (a twisted word, a torus
 # braid), counted before it is built. Every stage grows about linearly in
-# the letters, the hub row of a twist region's Goeritz form included, and
-# most of the time goes to building the code and to `checkerboard`: in
-# process on a 2-core Xeon, `twist-verify` on the 3-strand region of
-# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 1.1 s at q = 10,000
-# (60,002 letters) and 2.6 s at q = 19,999 (119,996 letters; 1.0 s building
-# the code, 1.0 s in `checkerboard`, 0.7 s in inertia), peaking at 170 MB.
+# the letters, the hub row of a twist region's Goeritz form included: in
+# process on a shared 2-core Xeon (Python 3.11.7), the 3-strand region of
+# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.9-1.1 s at
+# q = 10,000 (60,002 letters) and 1.5-2.1 s at q = 19,999 (119,996
+# letters: 0.1 s for the closure's tuples, 0.4-0.6 s for the code's
+# geometry, 0.3-0.5 s in `checkerboard`, 0.5-0.8 s in inertia), and
+# `twist-verify` on it took 2.1 s as a fresh process, peaking at 170 MB.
 MAX_BRAID_LETTERS = 120_000
 
 
