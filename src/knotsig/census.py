@@ -335,10 +335,10 @@ def emit(report, out_dir):
 
 def _plots_json(payload):
     """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte,
-    for a dict whose values are numbers or lists of lists of numbers.
-    With an indent, json writes through its pure-Python encoder; here its
-    C encoder writes each value on one line, and the line breaks go in by
-    replacing separators, which no number contains."""
+    for a non-empty dict whose values are numbers or lists of lists of
+    numbers. With an indent, json writes through its pure-Python encoder;
+    here its C encoder writes each value on one line, and the line breaks
+    go in by replacing separators, which no number contains."""
     lines = []
     for key in sorted(payload):
         text = json.dumps(payload[key])
@@ -349,4 +349,4 @@ def _plots_json(payload):
             # an empty row is the one place a break follows a break
             text = text.replace("[\n      \n    ]", "[]")
         lines.append("  %s: %s" % (json.dumps(key), text))
-    return "{\n%s\n}\n" % ",\n".join(lines) if lines else "{}\n"
+    return "{\n%s\n}\n" % ",\n".join(lines)
