@@ -83,12 +83,19 @@ def _cmd_kappa(args):
 # The pairs p * q <= N cost about N^3.3 in all: in process on a 2-core
 # Xeon, N = 150 took 0.65 s and N = 300 took 4.7 s.
 MAX_CHECK_PQ = 300
+# T(2, 3): no torus knot T(p, q), 2 <= p < q, has a smaller p * q
+MIN_CHECK_PQ = 6
 
 
 def _cmd_torus_check(args):
     if args.max_pq > MAX_CHECK_PQ:
         raise ValueError(
             "--max-pq %d is more than the limit of %d" % (args.max_pq, MAX_CHECK_PQ)
+        )
+    if args.max_pq < MIN_CHECK_PQ:
+        raise ValueError(
+            "--max-pq %d is less than %d, the least p * q of a torus knot T(p, q)"
+            % (args.max_pq, MIN_CHECK_PQ)
         )
     mismatches = 0
     p = 2

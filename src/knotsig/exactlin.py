@@ -13,7 +13,9 @@ unbounded Python integers, and every stored number is a minor of the input
 Each stored entry carries the pivot count at which it was last exact, so a
 pivot rewrites only the entries its own row meets and every other entry is
 rescaled, exactly, when it is next read; one hub row that meets every pivot
-costs no more than any other row.
+costs no more than any other row.  An off-diagonal entry and its stamp are
+one cell [a_ij, stamp], the same list in row i and in row j, so a pivot
+computes each update of a symmetric pair once and writes it in place.
 """
 
 from dataclasses import dataclass
@@ -90,78 +92,98 @@ def _pivots(rows):
 
     d_t is the principal minor of the input (after the repairs below)
     on the first t pivot indices, so the t-th LDL^T pivot is
-    d_t / d_{t-1}, with d_0 = 1.  Each row is copied into a dict of its
-    nonzeros, which the elimination rewrites, and every stored entry
-    carries a stamp: the pivot count s at which it was last exact.
-    Eliminating pivot k with value p, after t pivots, rewrites only the
-    entries (i, j) with i and j both in row k:
-    a_ij <- (p a_ij d_t / d_s - a_ik a_kj) // d_t.  By Sylvester's
-    identity the result is again a minor, so the division is exact.  An
-    entry that row k misses would only be scaled by p / d_t: it keeps
-    its value and stamp and is scaled by d_now / d_s (exactly, as it is
-    a minor too) when it is next read.  So a pivot costs the square of
-    its row's length, however long the rows it meets are.
+    d_t / d_{t-1}, with d_0 = 1.  Each row is a dict of its nonzeros,
+    and each unordered pair {i, j} has one cell [a_ij, s], the same list
+    under a[i][j] and a[j][i]; s is the pivot count at which a_ij was
+    last exact.  Eliminating pivot k with value p, after t pivots, reads
+    row k once into a list of (j, a_kj), drops k from each neighbour's
+    dict and rewrites each unordered pair {i, j} of that list once, in
+    place: a_ij <- (p a_ij d_t / d_s - a_ik a_kj) // d_t.  By
+    Sylvester's identity the result is again a minor, so the division is
+    exact.  A fill-in is a new cell shared by both rows, and an entry
+    that cancels leaves both.  An entry that row k misses would only be
+    scaled by p / d_t: it keeps its cell and is scaled by d_now / d_s
+    (exactly, as it is a minor too) when it is next read.  So a pivot
+    costs half the square of its row's length, however long the rows it
+    meets are.
 
     Every non-empty row waits in one heap under the key (zero diagonal,
     degree, index), so the next pivot is the remaining index with a
     nonzero diagonal and the fewest nonzeros (lowest index on ties); any
     symmetric order is a congruence.  A key whose row has since changed
     is stale and skipped.  A zero diagonal comes first only when every
-    remaining diagonal is zero; then row and column k get row and column
-    j added, for the neighbour j of k of least degree, which makes the
-    pivot 2 a_kj != 0.  That reads row j and writes only the entries
-    a_km = a_mk it changes; row k is pivoted at once, so each row of the
+    remaining diagonal is zero; then row and column k, gathered in a
+    dict, get row and column j added, for the neighbour j of k of least
+    degree, which makes the pivot 2 a_kj != 0.  That reads row j and
+    changes no stored cell: row k is pivoted at once, so each row of the
     accumulated transform has at most two ones and each transformed
     entry is a sum of at most four input entries.
     Rows that become empty are zero eigenvalues and yield nothing.
     """
-    a = [dict(row) for row in rows]
-    stamp = [dict.fromkeys(row, 0) for row in a]
+    a = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        row_i = a[i]
+        for j, x in row:
+            if j >= i:
+                row_i[j] = a[j][i] = [x, 0]
     d = [1]
     heap = [(i not in row, len(row), i) for i, row in enumerate(a) if row]
     heapify(heap)
     while heap:
         zero, size, k = heappop(heap)
-        if len(a[k]) != size or (k not in a[k]) != zero:
+        row_k = a[k]
+        if len(row_k) != size or (k not in row_k) != zero:
             continue
+        a[k] = {}
         t = len(d) - 1
         prev = d[t]
-        stamp_k = stamp[k]
-        row_k = {j: x if stamp_k[j] == t else x * prev // d[stamp_k[j]] for j, x in a[k].items()}
-        a[k], stamp[k] = {}, {}
+        line = []
+        for j, (x, s) in row_k.items():
+            if s != t:
+                x = x * prev // d[s]
+            if j == k:
+                p = x
+            else:
+                del a[j][k]
+                line.append((j, x))
         if zero:
+            row_k = dict(line)
             _, j = min((len(a[i]), i) for i in row_k)
-            stamp_j = stamp[j]
-            for m, y in a[j].items():
-                if m != k:
-                    s = stamp_j[m]
-                    x = row_k.get(m, 0) + (y if s == t else y * prev // d[s])
-                    row_m = a[m]
-                    if x:
-                        row_k[m] = row_m[k] = x
-                        stamp[m][k] = t
-                    else:
-                        del row_k[m], row_m[k], stamp[m][k]
-                        heappush(heap, (m not in row_m, len(row_m), m))
-            row_k[k] = 2 * row_k[j]
-        p = row_k.pop(k)
-        for i, f in row_k.items():
-            row_i, stamp_i = a[i], stamp[i]
-            del row_i[k], stamp_i[k]
-            for j, y in row_k.items():
-                x = row_i.get(j)
-                if x is None:
-                    x = -f * y // prev
+            for m, (y, s) in a[j].items():
+                x = row_k.get(m, 0) + (y if s == t else y * prev // d[s])
+                if x:
+                    row_k[m] = x
                 else:
-                    s = stamp_i[j]
+                    del row_k[m]
+                    row_m = a[m]
+                    heappush(heap, (m not in row_m, len(row_m), m))
+            p = 2 * row_k[j]
+            line = list(row_k.items())
+        t1 = t + 1
+        done = []
+        for i, f in line:
+            row_i = a[i]
+            done.append((i, f))
+            for j, y in done:
+                cell = row_i.get(j)
+                if cell is None:
+                    x = -f * y // prev
+                    if x:
+                        row_i[j] = a[j][i] = [x, t1]
+                else:
+                    x, s = cell
                     if s != t:
                         x = x * prev // d[s]
                     x = (p * x - f * y) // prev
-                if x:
-                    row_i[j] = x
-                    stamp_i[j] = t + 1
-                else:
-                    del row_i[j], stamp_i[j]
+                    if x:
+                        cell[0] = x
+                        cell[1] = t1
+                    else:
+                        del row_i[j]
+                        if j != i:
+                            del a[j][i]
+        for i, _ in line:
+            row_i = a[i]
             if row_i:
                 heappush(heap, (i not in row_i, len(row_i), i))
         d.append(p)
