@@ -80,8 +80,8 @@ def _cmd_kappa(args):
     print(kappa(args.p, args.q))
 
 
-# The pairs p * q <= N cost about N^3.3 in all: in process on a 2-core
-# Xeon, N = 150 took 0.65 s and N = 300 took 4.7 s.
+# The pairs p * q <= N cost about N^3.3 in all: as a fresh process on a
+# shared 2-core Xeon, N = 150 took 0.4-0.8 s and N = 300 took 1.8-3.4 s.
 MAX_CHECK_PQ = 300
 # T(2, 3): no torus knot T(p, q), 2 <= p < q, has a smaller p * q
 MIN_CHECK_PQ = 6

@@ -130,6 +130,20 @@ class TestTorusCheck:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("max_pq", [-3, 0, 5])
+    def test_below_the_least_torus_knot_is_1(self, capsys, max_pq):
+        # T(2, 3) has the least p * q, 6; a smaller N checks no pair
+        rc = main(["torus-check", "--max-pq", str(max_pq)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_least_torus_knot_alone(self, capsys):
+        rc, out = run_cli(capsys, "torus-check", "--max-pq", "6")
+        assert (rc, out) == (0, "OK 0 mismatches\n")
+
 
 class TestDiagramCommands:
     TREFOIL = "X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)"

@@ -160,21 +160,29 @@ def test_agrees_with_sturm_oracle(rows):
 
 
 @st.composite
-def sparse_sym(draw, max_dim=24, zero_diagonal=False, duplicate=False):
+def sparse_sym(draw, max_dim=24, zero_diagonal=False, duplicate=False, hub=False):
     """A symmetric matrix with about three nonzeros per row; optionally with
-    every diagonal entry zero, or with one row/column copied onto another
-    (so the matrix is singular)."""
+    every diagonal entry zero, with one row/column copied onto another
+    (so the matrix is singular), or with one hub row joined to every
+    other row and the diagonal zero or not, as drawn."""
     n = draw(st.integers(min_value=2 if duplicate else 0, max_value=max_dim))
     rows = [[0] * n for _ in range(n)]
     if n == 0:
         return rows
     index = st.integers(min_value=0, max_value=n - 1)
     value = st.integers(min_value=-9, max_value=9)
+    if hub:
+        zero_diagonal = draw(st.booleans())
     for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
         i, j = draw(index), draw(index)
         if i == j and zero_diagonal:
             continue
         rows[i][j] = rows[j][i] = draw(value)
+    if hub:
+        h = draw(index)
+        for t in range(n):
+            if t != h:
+                rows[h][t] = rows[t][h] = draw(value.filter(bool))
     if duplicate:
         i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
         for t in range(n):
@@ -187,6 +195,7 @@ SPARSE_KINDS = {
     "sparse": {},
     "zero-diagonal": {"zero_diagonal": True},
     "rank-deficient": {"duplicate": True},
+    "hub": {"hub": True},
 }
 
 
@@ -211,12 +220,41 @@ def test_sparse_and_dense_construction_agree(kind, data):
     assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows)
 
 
-def test_large_sparse_form_needs_no_dense_copy():
-    # a 20,000-dim path form; a dense copy would take about 3 GB
-    n = 20_000
+def path_rows(n):
+    """Nonzero rows of the n-dim form with 2 on the diagonal and -1 beside
+    it."""
     rows = [{i: 2} for i in range(n)]
     for i in range(n - 1):
         rows[i][i + 1] = rows[i + 1][i] = -1
+    return rows
+
+
+def hyperbolic_rows(n):
+    """Nonzero rows of the orthogonal sum of n/2 hyperbolic planes
+    [[0, 1], [1, 0]]."""
+    return [{i ^ 1: 1} for i in range(n)]
+
+
+def star_rows(n):
+    """Nonzero rows of a hub of diagonal n and n leaves of diagonal 1, each
+    with a 1 to the hub."""
+    rows = [{0: n, **dict.fromkeys(range(1, n + 1), 1)}]
+    rows += [{0: 1, i: 1} for i in range(1, n + 1)]
+    return rows
+
+
+# the 3-strand twist region whose Goeritz form has one hub row
+HUB_SPEC = twistfam.TwistSpec((1, -2), ((0, 1, 3),))
+
+
+def twist_hub_form(q):
+    return diagram.checkerboard(twistfam.twist_insert(HUB_SPEC, (q,))).matrix
+
+
+def test_large_sparse_form_needs_no_dense_copy():
+    # a 20,000-dim path form; a dense copy would take about 3 GB
+    n = 20_000
+    rows = path_rows(n)
     tracemalloc.start()
     try:
         got = inertia(SymIntMatrix.from_nonzeros(rows))
@@ -227,13 +265,12 @@ def test_large_sparse_form_needs_no_dense_copy():
     assert peak < 64 * 2**20
 
 
-
 def test_hyperbolic_sum_repairs_in_budget():
     # every pivot of a sum of hyperbolic planes [[0, 1], [1, 0]] is a
     # zero-diagonal repair; picking each one by a scan of all rows made
     # this n = 20,000 form quadratic, about 30 s
     n = 20_000
-    m = SymIntMatrix.from_nonzeros([{i ^ 1: 1} for i in range(n)])
+    m = SymIntMatrix.from_nonzeros(hyperbolic_rows(n))
     assert call_within_budget(inertia, (m,)) == InertiaTriple(n // 2, n // 2, 0)
 
 
@@ -242,9 +279,7 @@ def test_star_form_in_budget():
     # hub; every leaf pivot meets the hub row, which made this form
     # quadratic when each pivot rewrote every row it met, about 40 s
     n = 20_000
-    rows = [{0: n, **dict.fromkeys(range(1, n + 1), 1)}]
-    rows += [{0: 1, i: 1} for i in range(1, n + 1)]
-    m = SymIntMatrix.from_nonzeros(rows)
+    m = SymIntMatrix.from_nonzeros(star_rows(n))
     assert call_within_budget(inertia, (m,)) == InertiaTriple(n, 0, 1)
 
 
@@ -253,8 +288,7 @@ def hub_form():
     """The 5,998-dim Goeritz form of the 3-strand twist region of
     {"base_braid": [1, -2], "regions": [[0, 1, 3]]} at q = 1,999: one white
     face meets every crossing, so one row has 5,998 nonzeros."""
-    spec = twistfam.TwistSpec((1, -2), ((0, 1, 3),))
-    return diagram.checkerboard(twistfam.twist_insert(spec, (1999,))).matrix
+    return twist_hub_form(1999)
 
 
 def test_hub_form_in_budget(hub_form):
@@ -325,3 +359,20 @@ def test_pivot_sequence_matches_reference(kind, data):
 def test_knot_form_pivot_sequences_match_reference(knot_forms):
     for name, rows in knot_forms.items():
         assert same_pivots(rows), name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: twist_hub_form(150),
+        lambda: SymIntMatrix.from_nonzeros(star_rows(300)),
+        lambda: SymIntMatrix.from_nonzeros(hyperbolic_rows(300)),
+        lambda: SymIntMatrix.from_nonzeros(path_rows(300)),
+    ],
+    ids=["twist hub q=150", "star n=300", "hyperbolic sum n=300", "path n=300"],
+)
+def test_fixed_form_pivot_sequences_match_reference(build):
+    # the shapes where shared cells and their stamps matter most, small
+    # enough for the reference's per-row stamps
+    rows = build().rows
+    assert list(_pivots(rows)) == list(pivots_reference(rows))
