@@ -13,6 +13,9 @@ all strands upward, a positive letter has the over-strand running d -> b and
 a negative letter b -> d.
 """
 
+from bisect import bisect
+from itertools import accumulate
+
 from .cusp import _require_ints
 
 # The longest braid word the package builds (a twisted word, a torus
@@ -125,45 +128,38 @@ def invert_word(word):
 
 
 def collins_seifert_matrix(word):
-    """Seifert matrix of the braid's trace closure, as a list of rows.
+    """Seifert matrix V of the braid's trace closure, as rows of nonzeros
+    v[i] = {j: v_ij}.
 
-    Basis: for each generator index, the loops through consecutive pairs of
-    its bands (occurrences in the word). Entry rules follow the two-bridge
-    interaction table for braid-closure Seifert surfaces: a loop over bands
-    of equal handedness contributes -1 (both positive) or +1 (both
-    negative) on the diagonal; consecutive loops sharing a band contribute
-    a single one-sided unit entry; loops on neighbouring generators
-    contribute a unit entry when their band positions interleave.
+    Basis: for each generator index k, the loops through consecutive pairs of
+    its bands (occurrences in the word), loop m at row start[k] + m. Entry
+    rules follow the two-bridge interaction table for braid-closure Seifert
+    surfaces: a loop over bands of equal handedness contributes -1 (both
+    positive) or +1 (both negative) on the diagonal; consecutive loops
+    sharing a band contribute a single one-sided unit entry; loops on
+    neighbouring generators contribute a unit entry when their band
+    positions interleave.
     """
-    occurrences = [[] for _ in range(word_strands(word) - 1)]
+    bands = [[] for _ in range(word_strands(word) - 1)]
     for pos, letter in enumerate(word):
-        occurrences[abs(letter) - 1].append((pos, letter < 0))
-    loops_by_gen = []
-    for occ in occurrences:
-        loops_by_gen.append(
-            [(occ[i][0], occ[i + 1][0], occ[i][1], occ[i + 1][1]) for i in range(len(occ) - 1)]
-        )
-    index = {}
-    total = 0
-    for k, loops in enumerate(loops_by_gen):
-        for m in range(len(loops)):
-            index[k, m] = total
-            total += 1
-    v = [[0] * total for _ in range(total)]
-    for k, loops in enumerate(loops_by_gen):
-        for m, (p0, p1, neg0, neg1) in enumerate(loops):
-            if neg0 == neg1:
-                v[index[k, m]][index[k, m]] = 1 if neg0 else -1
-        for m in range(len(loops) - 1):
-            if not loops[m][3]:  # shared band is a positive crossing
-                v[index[k, m + 1]][index[k, m]] = 1
-            else:
-                v[index[k, m]][index[k, m + 1]] = -1
-        if k + 1 < len(loops_by_gen):
-            for m, g in enumerate(loops):
-                for l, h in enumerate(loops_by_gen[k + 1]):
-                    if h[0] < g[0] < h[1] < g[1]:
-                        v[index[k + 1, l]][index[k, m]] = 1
-                    elif g[0] < h[0] < g[1] < h[1]:
-                        v[index[k + 1, l]][index[k, m]] = -1
+        bands[abs(letter) - 1].append(pos)
+    start = list(accumulate((max(len(occ) - 1, 0) for occ in bands), initial=0))
+    v = [{} for _ in range(start[-1])]
+    for k, (occ, nxt) in enumerate(zip(bands, bands[1:] + [[]])):
+        for m, (g0, g1) in enumerate(zip(occ, occ[1:])):
+            r = start[k] + m
+            if (word[g0] < 0) == (word[g1] < 0):
+                v[r][r] = 1 if word[g0] < 0 else -1
+            if m + 2 < len(occ):  # loops m and m + 1 share band g1
+                if word[g1] > 0:
+                    v[r + 1][r] = 1
+                else:
+                    v[r][r + 1] = -1
+            # only the loop of k + 1 around g0, when it ends inside (g0, g1),
+            # and the one around g1, when it starts inside, interleave
+            i, j = bisect(nxt, g0), bisect(nxt, g1)
+            if 0 < i < j:
+                v[start[k + 1] + i - 1][r] = 1
+            if i < j < len(nxt):
+                v[start[k + 1] + j - 1][r] = -1
     return v

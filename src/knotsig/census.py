@@ -98,7 +98,10 @@ def parse_geodesics(text):
         fields = chunk.split(":")
         if len(fields) not in (2, 3):
             raise ValueError("geodesic %r is not complex:parity[:radius]" % chunk)
-        radius = float(fields[2]) if len(fields) == 3 else None
+        try:
+            radius = float(fields[2]) if len(fields) == 3 else None
+        except ValueError:
+            raise ValueError("tube radius of geodesic %r is not a number" % chunk) from None
         records.append(GeodesicRecord(parse_complex(fields[0]), fields[1].strip(), radius))
     return tuple(records)
 

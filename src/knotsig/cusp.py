@@ -72,6 +72,7 @@ class KnotGeom:
         _require_positive(self.volume, "volume")
         _require_positive(self.inj, "injectivity radius")
         if self.sigma is not None:
+            _require_ints((self.sigma,), "signatures")
             if self.sigma % 2:
                 raise ValueError("signature must be even, got %r" % self.sigma)
             # the float side reads 2 * sigma

@@ -37,7 +37,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 
 from .braid import (
     closure_is_knot,
@@ -564,17 +564,16 @@ def braid_word(d):
 
 def seifert_matrix(d):
     """Seifert form V of the surface from the oriented smoothing of a
-    braided form of the diagram, in the consecutive-band loop basis, as a
-    list of rows (`[]` for the unknot)."""
+    braided form of the diagram, in the consecutive-band loop basis, as rows
+    of nonzeros (`[]` for the unknot)."""
     return collins_seifert_matrix(braid_word(d))
 
 
 def seifert_signature(d):
-    """Knot signature as the signature of V + V^T."""
+    """Knot signature as the signature of V + V^T, summed from V's nonzeros."""
     v = seifert_matrix(d)
-    sym = [defaultdict(int) for _ in v]
+    sym = [dict(row) for row in v]
     for i, row in enumerate(v):
-        for j in compress(range(len(row)), row):
-            sym[i][j] += row[j]
-            sym[j][i] += row[j]
+        for j, x in row.items():
+            sym[j][i] = sym[j].get(i, 0) + x
     return signature(SymIntMatrix.from_nonzeros(sym))

@@ -10,7 +10,9 @@ exact scan of lines of fixed q, the torus correction term is
 recomputed one reduction rule at a time with no closed-form shortcuts, the
 diagram geometry is rebuilt by the package's former dict-based walk, and
 the package's former trace closure (label every edge, then merge and
-rename) and Goeritz form (counters keyed by face) are kept as references.
+rename), Goeritz form (counters keyed by face) and braid Seifert matrix
+(dense, every loop against every loop of the next generator) are kept as
+references.
 """
 
 import math
@@ -625,3 +627,58 @@ def checkerboard_reference(d):
         row[windex[f]] = -sum(off[f].values())
         rows.append(row)
     return GoeritzData(SymIntMatrix.from_nonzeros(rows), correction)
+
+
+def collins_reference(word):
+    """The package's former Seifert matrix of the braid's trace closure,
+    dense, as a list of rows.
+
+    Basis: for each generator index, the loops through consecutive pairs of
+    its bands (occurrences in the word). Entry rules follow the two-bridge
+    interaction table for braid-closure Seifert surfaces: a loop over bands
+    of equal handedness contributes -1 (both positive) or +1 (both
+    negative) on the diagonal; consecutive loops sharing a band contribute
+    a single one-sided unit entry; loops on neighbouring generators
+    contribute a unit entry when their band positions interleave.
+    """
+    occurrences = [[] for _ in range(word_strands(word) - 1)]
+    for pos, letter in enumerate(word):
+        occurrences[abs(letter) - 1].append((pos, letter < 0))
+    loops_by_gen = []
+    for occ in occurrences:
+        loops_by_gen.append(
+            [(occ[i][0], occ[i + 1][0], occ[i][1], occ[i + 1][1]) for i in range(len(occ) - 1)]
+        )
+    index = {}
+    total = 0
+    for k, loops in enumerate(loops_by_gen):
+        for m in range(len(loops)):
+            index[k, m] = total
+            total += 1
+    v = [[0] * total for _ in range(total)]
+    for k, loops in enumerate(loops_by_gen):
+        for m, (p0, p1, neg0, neg1) in enumerate(loops):
+            if neg0 == neg1:
+                v[index[k, m]][index[k, m]] = 1 if neg0 else -1
+        for m in range(len(loops) - 1):
+            if not loops[m][3]:  # shared band is a positive crossing
+                v[index[k, m + 1]][index[k, m]] = 1
+            else:
+                v[index[k, m]][index[k, m + 1]] = -1
+        if k + 1 < len(loops_by_gen):
+            for m, g in enumerate(loops):
+                for l, h in enumerate(loops_by_gen[k + 1]):
+                    if h[0] < g[0] < h[1] < g[1]:
+                        v[index[k + 1, l]][index[k, m]] = 1
+                    elif g[0] < h[0] < g[1] < h[1]:
+                        v[index[k + 1, l]][index[k, m]] = -1
+    return v
+
+
+def dense(rows):
+    """The dense list of rows of a matrix given as rows of nonzeros."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[i][j] = x
+    return out

@@ -7,7 +7,8 @@ import sympy
 from hypothesis import given, strategies as st
 
 from diagrams import plat_closure_tuples, random_knot_word
-from oracles import trace_closure_reference
+from oracles import collins_reference, dense, trace_closure_reference
+from test_totality import call_within_budget
 
 from knotsig import braid, twistfam
 from knotsig.exactlin import SymIntMatrix, signature
@@ -182,22 +183,22 @@ class TestPlatClosure:
 class TestSeifertMatrix:
     def test_right_trefoil_matrix(self):
         v = braid.collins_seifert_matrix([1, 1, 1])
-        assert v == [[-1, 0], [1, -1]]
+        assert v == [{0: -1}, {0: 1, 1: -1}]
         assert signature(SymIntMatrix([[-2, 1], [1, -2]])) == -2
 
     def test_left_trefoil_matrix(self):
         v = braid.collins_seifert_matrix([-1, -1, -1])
-        assert v == [[1, -1], [0, 1]]
+        assert v == [{0: 1, 1: -1}, {1: 1}]
 
     def test_figure_eight_matrix_symmetrized(self):
-        v = braid.collins_seifert_matrix([1, -2, 1, -2])
+        v = dense(braid.collins_seifert_matrix([1, -2, 1, -2]))
         sym = [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
         assert signature(SymIntMatrix(sym)) == 0
 
     def test_t2_alexander_polynomials(self):
         t = sympy.Symbol("t")
         for q, expected in [(3, t**2 - t + 1), (5, t**4 - t**3 + t**2 - t + 1)]:
-            v = sympy.Matrix(braid.collins_seifert_matrix([1] * q))
+            v = sympy.Matrix(dense(braid.collins_seifert_matrix([1] * q)))
             delta = sympy.expand(sympy.det(v - t * v.T))
             assert delta in (expected, sympy.expand(-expected))
 
@@ -208,6 +209,25 @@ class TestSeifertMatrix:
             return
         v = braid.collins_seifert_matrix(word)
         assert len(v) == len(word) - (braid.word_strands(word) - 1)
+
+    @given(clean_words(max_strands=8, max_len=40))
+    def test_matches_dense_reference(self, ws):
+        # entry for entry, with no zero stored, on any word, knot or not
+        word, _ = ws
+        v = braid.collins_seifert_matrix(word)
+        assert all(x for row in v for x in row.values())
+        assert dense(v) == collins_reference(word)
+
+    @pytest.mark.parametrize("spec", TWIST_SPECS)
+    def test_matches_dense_reference_on_twist_rows(self, spec):
+        word = twistfam.twisted_word(spec, (40,))
+        assert dense(braid.collins_seifert_matrix(word)) == collins_reference(word)
+
+    def test_hub_region_rows_within_budget(self):
+        # 11,996 letters: a dense V would need about 1.15 GB
+        word = twistfam.twisted_word(TWIST_SPECS[1], (1999,))
+        v = call_within_budget(braid.collins_seifert_matrix, (word,), seconds=5)
+        assert len(v) == 11_994
 
 
 class TestRandomWords:

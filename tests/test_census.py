@@ -106,6 +106,9 @@ class TestIngest:
         path = write_csv(tmp_path, "K,5,-2,4.0,0.5,0.8,1.0,5.0,nonsense,")
         with pytest.raises(CensusFormatError, match="line 2"):
             census.ingest(path)
+        # a tube radius that is not a number names its geodesic
+        with pytest.raises(ValueError, match=r"geodesic '0\.1\+0\.1i:odd:abc'"):
+            census.parse_geodesics("0.2+3.1415i:odd;0.1+0.1i:odd:abc")
 
 
 class TestDerive:

@@ -16,8 +16,9 @@ from diagrams import (
     plat_closure_tuples,
     random_knot_word,
 )
-from oracles import checkerboard_reference, geometry_reference
+from oracles import checkerboard_reference, dense, geometry_reference
 from test_braid import TWIST_SPECS, closing_words
+from test_totality import call_within_budget
 
 from knotsig import braid, diagram, twistfam
 from knotsig.diagram import (
@@ -54,7 +55,7 @@ def seifert_det(d):
     v = seifert_matrix(d)
     if not v:
         return 1
-    m = sympy.Matrix(v)
+    m = sympy.Matrix(dense(v))
     return abs((m + m.T).det())
 
 
@@ -527,6 +528,11 @@ class TestSeifert:
         assert d.signs == (1,)
         assert gl_signature(d) == 0
         assert seifert_signature(d) == 0
+
+    def test_torus_seifert_side_within_budget(self):
+        # V + V^T of dimension 20,000: a dense V would need about 3.2 GB
+        d = torus_pd(2, 20001)
+        assert call_within_budget(seifert_signature, (d,), seconds=5) == -20000
 
 
 class TestDeterminants:

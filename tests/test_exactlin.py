@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from knotsig import diagram, torus, twistfam
 from knotsig.exactlin import InertiaTriple, SymIntMatrix, _pivots, inertia, signature
 
-from oracles import inertia_by_charpoly, inertia_dense_reference, pivots_reference
+from oracles import dense, inertia_by_charpoly, inertia_dense_reference, pivots_reference
 from test_totality import call_within_budget
 
 
@@ -297,6 +297,7 @@ def test_hub_form_in_budget(hub_form):
 
 
 def _symmetrized(v):
+    v = dense(v)
     return [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
 
 

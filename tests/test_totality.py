@@ -264,6 +264,8 @@ def test_returns_or_raises_value_error_within_budget(name, data):
         (twistfam.predicted_slope, ((2,), (0.5,))),
         (cusp.slope_length, (GEOM.cusp, 1.5, 0.5)),
         (cusp.slope_length, (GEOM.cusp, 2, math.nan)),
+        (cusp.KnotGeom, (GEOM.cusp, 3, 1, 2.0)),
+        (cusp.KnotGeom, (GEOM.cusp, 3, 1, "2")),
     ],
 )
 def test_reported_inputs_raise_value_error(fn, args):
