@@ -18,9 +18,9 @@ import json
 import math
 import statistics
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._record import Record
 from .cusp import (
     CuspShape,
     GeometryWarning,
@@ -60,27 +60,40 @@ class CensusFormatError(ValueError):
     """Unreadable census file or a row that fails validation."""
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    name: str
-    crossings: int
-    sigma: int
-    volume: float
-    inj: float
-    meridian: complex
-    longitude: float
-    geodesics: tuple = ()
-    pd: DiagramCode | None = None
-    geom: KnotGeom = field(init=False, compare=False, repr=False)
+class CensusRow(Record):
+    """One validated census row. `geom`, its `KnotGeom`, is built once
+    with the row and takes no part in `==`, `hash` or `repr`."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "geodesics", tuple(self.geodesics))
-        if self.crossings < 3:
+    _fields = (
+        "name",
+        "crossings",
+        "sigma",
+        "volume",
+        "inj",
+        "meridian",
+        "longitude",
+        "geodesics",
+        "pd",
+    )
+    __slots__ = _fields + ("geom",)
+
+    def __init__(
+        self, name, crossings, sigma, volume, inj, meridian, longitude, geodesics=(), pd=None
+    ):
+        geodesics = tuple(geodesics)
+        if crossings < 3:
             raise ValueError("crossing number must be at least 3")
         # built once: hard errors raise, soft checks warn once per row
-        geom = KnotGeom(
-            CuspShape(self.longitude, self.meridian), self.volume, self.inj, self.sigma
-        )
+        geom = KnotGeom(CuspShape(longitude, meridian), volume, inj, sigma)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "inj", inj)
+        object.__setattr__(self, "meridian", meridian)
+        object.__setattr__(self, "longitude", longitude)
+        object.__setattr__(self, "geodesics", geodesics)
+        object.__setattr__(self, "pd", pd)
         object.__setattr__(self, "geom", geom)
 
 
@@ -191,25 +204,47 @@ def ingest(source):
     return rows
 
 
-@dataclass(frozen=True)
-class DerivedRow:
-    row: CensusRow
-    slope: float
-    gap: float  # 2*sigma - slope, signed
-    c1: float
-    sigma_hat: float
-    gap_normalized: float  # gap / sqrt(volume)
+class DerivedRow(Record):
+    """A census row with its derived columns: gap = 2*sigma - slope,
+    signed, and gap_normalized = gap / sqrt(volume)."""
+
+    __slots__ = _fields = ("row", "slope", "gap", "c1", "sigma_hat", "gap_normalized")
+
+    def __init__(self, row, slope, gap, c1, sigma_hat, gap_normalized):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "sigma_hat", sigma_hat)
+        object.__setattr__(self, "gap_normalized", gap_normalized)
 
 
-@dataclass(frozen=True)
-class StatsReport:
-    rows: tuple
-    envelope_b: float
-    envelope_c: float
-    c1_by_crossing: tuple  # (crossings, max c1, mean c1) per crossing number
-    correlation: float | None
-    c1_hist: tuple  # (bin lower edge, count) pairs
-    envelope_fraction: float | None
+class StatsReport(Record):
+    """The derived rows and their aggregates. c1_by_crossing holds
+    (crossings, max c1, mean c1) per crossing number and c1_hist
+    (bin lower edge, count) pairs; correlation and envelope_fraction are
+    None where they are undefined."""
+
+    __slots__ = _fields = (
+        "rows",
+        "envelope_b",
+        "envelope_c",
+        "c1_by_crossing",
+        "correlation",
+        "c1_hist",
+        "envelope_fraction",
+    )
+
+    def __init__(
+        self, rows, envelope_b, envelope_c, c1_by_crossing, correlation, c1_hist, envelope_fraction
+    ):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "envelope_b", envelope_b)
+        object.__setattr__(self, "envelope_c", envelope_c)
+        object.__setattr__(self, "c1_by_crossing", c1_by_crossing)
+        object.__setattr__(self, "correlation", correlation)
+        object.__setattr__(self, "c1_hist", c1_hist)
+        object.__setattr__(self, "envelope_fraction", envelope_fraction)
 
 
 def aggregate(derived, envelope_b=2.0, envelope_c=2.0):

@@ -7,9 +7,9 @@ tests use 1e-3 because published values carry 4-5 digits.
 """
 
 import math
-from dataclasses import dataclass
-
 import warnings
+
+from ._record import Record
 
 _TOL = 1e-9
 
@@ -36,59 +36,59 @@ def parse_complex(text):
         raise ValueError("bad complex number %r" % text) from None
 
 
-@dataclass(frozen=True)
-class CuspShape:
+class CuspShape(Record):
     """Maximal cusp-torus lattice: real longitude length and complex
     meridian translation, normalized so Im(meridian) > 0."""
 
-    longitude: float
-    meridian: complex
+    __slots__ = _fields = ("longitude", "meridian")
 
-    def __post_init__(self):
-        _require_positive(self.longitude, "longitude")
-        _require_finite_number(self.meridian.real, "Re(meridian)")
-        _require_positive(self.meridian.imag, "Im(meridian)")
-        size = _modulus(self.meridian)
+    def __init__(self, longitude, meridian):
+        _require_positive(longitude, "longitude")
+        _require_finite_number(meridian.real, "Re(meridian)")
+        _require_positive(meridian.imag, "Im(meridian)")
+        size = _modulus(meridian)
         lo, hi = MERIDIAN_RANGE
         if not lo - _TOL <= size <= hi + _TOL:
             warnings.warn(
                 "|meridian| = %.4f outside [%g, %g]" % (size, lo, hi),
                 GeometryWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
+        object.__setattr__(self, "longitude", longitude)
+        object.__setattr__(self, "meridian", meridian)
 
 
-@dataclass(frozen=True)
-class KnotGeom:
+class KnotGeom(Record):
     """Cusp shape plus volume, injectivity radius, and (optionally) the
-    knot signature."""
+    knot signature, an even int or None."""
 
-    cusp: CuspShape
-    volume: float
-    inj: float
-    sigma: int | None = None
+    __slots__ = _fields = ("cusp", "volume", "inj", "sigma")
 
-    def __post_init__(self):
-        _require_positive(self.volume, "volume")
-        _require_positive(self.inj, "injectivity radius")
-        if self.sigma is not None:
-            _require_ints((self.sigma,), "signatures")
-            if self.sigma % 2:
-                raise ValueError("signature must be even, got %r" % self.sigma)
+    def __init__(self, cusp, volume, inj, sigma=None):
+        _require_positive(volume, "volume")
+        _require_positive(inj, "injectivity radius")
+        if sigma is not None:
+            _require_ints((sigma,), "signatures")
+            if sigma % 2:
+                raise ValueError("signature must be even, got %r" % sigma)
             # the float side reads 2 * sigma
-            _require_finite_number(2 * self.sigma, "twice the signature")
-        if self.volume <= MIN_VOLUME:
+            _require_finite_number(2 * sigma, "twice the signature")
+        if volume <= MIN_VOLUME:
             warnings.warn(
-                "volume %.4f not above %.4f" % (self.volume, MIN_VOLUME),
+                "volume %.4f not above %.4f" % (volume, MIN_VOLUME),
                 GeometryWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-        if self.inj > MAX_INJ:
+        if inj > MAX_INJ:
             warnings.warn(
-                "injectivity radius %.4f above %.2f" % (self.inj, MAX_INJ),
+                "injectivity radius %.4f above %.2f" % (inj, MAX_INJ),
                 GeometryWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
+        object.__setattr__(self, "cusp", cusp)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "inj", inj)
+        object.__setattr__(self, "sigma", sigma)
 
     def _require_sigma(self):
         if self.sigma is None:
@@ -117,10 +117,14 @@ def slope_length(c, p, q):
     return _require_finite_number(length, "length of the slope")
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
+class Interval(Record):
+    """The closed interval [lo, hi]."""
+
+    __slots__ = _fields = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __contains__(self, x):
         return self.lo <= x <= self.hi

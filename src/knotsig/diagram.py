@@ -35,10 +35,10 @@ lists indexed by face, one dict of nonzeros per white face.
 import heapq
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
+from ._record import Record
 from .braid import (
     closure_is_knot,
     collins_seifert_matrix,
@@ -64,8 +64,7 @@ class MultiComponentError(ValueError):
     """The code describes a link with more than one component."""
 
 
-@dataclass(frozen=True)
-class DiagramCode:
+class DiagramCode(Record):
     """A validated knot diagram: crossing tuples in the strict slot
     convention, with arc labels exactly 1..2n.
 
@@ -74,12 +73,11 @@ class DiagramCode:
     that is not a strict planar knot diagram raises a `ValueError`
     subclass then. The geometry takes no part in `==`, `hash` or `repr`."""
 
-    crossings: tuple
-    signs: tuple = field(init=False)
-    _geom: "_Geometry" = field(init=False, repr=False, compare=False)
+    _fields = ("crossings", "signs")
+    __slots__ = _fields + ("_geom",)
 
-    def __post_init__(self):
-        geom = _Geometry(tuple(map(tuple, self.crossings)))
+    def __init__(self, crossings):
+        geom = _Geometry(tuple(map(tuple, crossings)))
         object.__setattr__(self, "crossings", geom.tuples)
         object.__setattr__(self, "signs", geom.signs)
         object.__setattr__(self, "_geom", geom)
@@ -119,13 +117,15 @@ class DiagramCode:
         return parse_pd(text)
 
 
-@dataclass(frozen=True)
-class GoeritzData:
+class GoeritzData(Record):
     """Goeritz form of the white checkerboard surface and the half normal
     Euler number entering the signature formula."""
 
-    matrix: SymIntMatrix
-    euler_correction: int
+    __slots__ = _fields = ("matrix", "euler_correction")
+
+    def __init__(self, matrix, euler_correction):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "euler_correction", euler_correction)
 
 
 _TERM = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")

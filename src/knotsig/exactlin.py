@@ -18,17 +18,17 @@ one cell [a_ij, stamp], the same list in row i and in row j, so a pivot
 computes each update of a symmetric pair once and writes it in place.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class SymIntMatrix:
+
+class SymIntMatrix(Record):
     """Symmetric integer matrix; `rows[i]` is the tuple of pairs (j, a_ij)
     with a_ij != 0, in increasing j. `SymIntMatrix(rows)` converts dense
     rows, and `entries` is the dense tuple of row tuples, built on read."""
 
-    rows: tuple
+    __slots__ = _fields = ("rows",)
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
@@ -72,13 +72,15 @@ class SymIntMatrix:
         return tuple(map(tuple, out))
 
 
-@dataclass(frozen=True)
-class InertiaTriple:
+class InertiaTriple(Record):
     """Counts of positive, negative and zero eigenvalues."""
 
-    n_pos: int
-    n_neg: int
-    n_zero: int
+    __slots__ = _fields = ("n_pos", "n_neg", "n_zero")
+
+    def __init__(self, n_pos, n_neg, n_zero):
+        object.__setattr__(self, "n_pos", n_pos)
+        object.__setattr__(self, "n_neg", n_neg)
+        object.__setattr__(self, "n_zero", n_zero)
 
     @property
     def signature(self):

@@ -4,8 +4,8 @@ drilled-tube lattice generators, and the corrected slope estimator."""
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
+from ._record import Record
 from .cusp import _require_finite_number, _require_ints, _require_positive
 from .torus import kappa
 
@@ -15,41 +15,41 @@ EPSILON_3 = 0.775
 _TWO_PI = 2 * math.pi
 
 
-@dataclass(frozen=True)
-class GeodesicRecord:
+class GeodesicRecord(Record):
     """A closed geodesic: complex length (real part > 0, imaginary part in
     (-pi, pi]), parity of its linking number with the knot, and optionally
     the radius of an embedded tube around it."""
 
-    complex_length: complex
-    linking_parity: str
-    tube_radius: float | None = None
+    __slots__ = _fields = ("complex_length", "linking_parity", "tube_radius")
 
-    def __post_init__(self):
-        _validate_length(self.complex_length)
-        if self.linking_parity not in ("odd", "even"):
+    def __init__(self, complex_length, linking_parity, tube_radius=None):
+        _validate_length(complex_length)
+        if linking_parity not in ("odd", "even"):
             raise ValueError("linking_parity must be 'odd' or 'even', got %r"
-                             % self.linking_parity)
-        if self.tube_radius is not None:
-            _require_positive(self.tube_radius, "tube radius")
+                             % linking_parity)
+        if tube_radius is not None:
+            _require_positive(tube_radius, "tube radius")
+        object.__setattr__(self, "complex_length", complex_length)
+        object.__setattr__(self, "linking_parity", linking_parity)
+        object.__setattr__(self, "tube_radius", tube_radius)
 
 
-@dataclass(frozen=True)
-class TwistParam:
+class TwistParam(Record):
     """Filling parameters (p even, q odd >= 1, coprime) describing how a
     short geodesic's holonomy twists the strands through its tube."""
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        _require_ints((self.p, self.q), "p and q")
-        if self.p % 2:
-            raise ValueError("p must be even, got %r" % self.p)
-        if self.q < 0 or self.q % 2 == 0:
-            raise ValueError("q must be odd and non-negative, got %r" % self.q)
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError("(%d, %d) is not coprime" % (self.p, self.q))
+    def __init__(self, p, q):
+        _require_ints((p, q), "p and q")
+        if p % 2:
+            raise ValueError("p must be even, got %r" % p)
+        if q < 0 or q % 2 == 0:
+            raise ValueError("q must be odd and non-negative, got %r" % q)
+        if math.gcd(p, q) != 1:
+            raise ValueError("(%d, %d) is not coprime" % (p, q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 def _validate_length(cl):

@@ -3,18 +3,28 @@ sigma(T(p,q)) = -pq/2 - kappa(p,q), plus braid-closure diagrams for the
 diagrammatic oracle."""
 
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 
+from ._record import Record
 from .braid import MAX_BRAID_LETTERS
 from .cusp import _require_ints
 from .diagram import DiagramCode
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exact element of (1/2)Z, stored as twice its value."""
+@total_ordering
+class HalfInt(Record):
+    """An exact element of (1/2)Z, stored as twice its value. Ordered
+    against other HalfInts only."""
 
-    twice_value: int
+    __slots__ = _fields = ("twice_value",)
+
+    def __init__(self, twice_value):
+        object.__setattr__(self, "twice_value", twice_value)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.twice_value < other.twice_value
+        return NotImplemented
 
     @property
     def is_integer(self):

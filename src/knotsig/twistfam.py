@@ -3,8 +3,8 @@ regions, compute exact signatures, and compare with the asymptotic
 slope/signature predictions."""
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record
 from .braid import (
     MAX_BRAID_LETTERS,
     closure_is_knot,
@@ -16,34 +16,32 @@ from .cusp import _require_ints
 from .diagram import DiagramCode, gl_signature
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(Record):
     """A base braid whose trace closure is a knot, plus twist regions given
     as (position in word, first strand, strand count) within the base
     braid's own strands. Each region models a curve encircling that many
     coherently oriented strands, so its linking number with the knot
     equals the strand count."""
 
-    base_braid: tuple
-    regions: tuple
+    __slots__ = _fields = ("base_braid", "regions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_braid", tuple(self.base_braid))
-        object.__setattr__(
-            self, "regions", tuple(tuple(r) for r in self.regions)
-        )
-        k = word_strands(self.base_braid)
-        _require_ints([v for r in self.regions for v in r], "regions")
-        for pos, start, count in self.regions:
-            if not 0 <= pos <= len(self.base_braid):
+    def __init__(self, base_braid, regions):
+        base_braid = tuple(base_braid)
+        regions = tuple(tuple(r) for r in regions)
+        k = word_strands(base_braid)
+        _require_ints([v for r in regions for v in r], "regions")
+        for pos, start, count in regions:
+            if not 0 <= pos <= len(base_braid):
                 raise ValueError("region position %d outside the word" % pos)
             if count < 1 or start < 1 or start + count - 1 > k:
                 raise ValueError(
                     "region strands [%d, %d] not within [1, %d]"
                     % (start, start + count - 1, k)
                 )
-        if not closure_is_knot(self.base_braid):
+        if not closure_is_knot(base_braid):
             raise ValueError("base braid closure is not a knot")
+        object.__setattr__(self, "base_braid", base_braid)
+        object.__setattr__(self, "regions", regions)
 
     @property
     def linking_numbers(self):
@@ -111,12 +109,17 @@ def predicted_signature(ell, q):
     return -sum((l * l - l % 2) * qi for l, qi in zip(ell, q)) // 2
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    q: tuple
-    sigma: int
-    predicted: int
-    residual: int
+class FamilyRow(Record):
+    """One twist vector q of a family: the exact signature, the predicted
+    center and their difference."""
+
+    __slots__ = _fields = ("q", "sigma", "predicted", "residual")
+
+    def __init__(self, q, sigma, predicted, residual):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "residual", residual)
 
 
 def family_report(spec, q_range):

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import knotsig
 from knotsig import census
 from knotsig.braid import MAX_BRAID_LETTERS
 from knotsig.cli import MAX_CHECK_PQ, build_parser, main
@@ -579,3 +584,15 @@ class TestExitCodes:
                 main([name, "--help"])
             assert exc.value.code == 0
             assert capsys.readouterr().out
+
+
+class TestStartUp:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # -S: no site hooks, so only the package's own imports count
+        env = dict(os.environ, PYTHONPATH=str(Path(knotsig.__file__).parents[1]))
+        code = "import sys, knotsig.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        assert out == "[]\n"

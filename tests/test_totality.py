@@ -35,6 +35,18 @@ def _address_space_cap(soft):
     return cap if soft == resource.RLIM_INFINITY else min(cap, soft)
 
 
+def describe_call(fn, args):
+    """fn's name and each argument's type, with its len where it has one:
+    a report whose size does not grow with the arguments."""
+    parts = []
+    for arg in args:
+        try:
+            parts.append("%s of len %d" % (type(arg).__name__, len(arg)))
+        except TypeError:
+            parts.append(type(arg).__name__)
+    return "%s(%s)" % (fn.__name__, ", ".join(parts))
+
+
 def call_within_budget(fn, args, seconds=BUDGET_S):
     """fn(*args), or the ValueError it raised; any other exception fails
     the test. A call that runs past `seconds` (a whole number) or past
@@ -44,7 +56,7 @@ def call_within_budget(fn, args, seconds=BUDGET_S):
     late = "ran past its %d s budget" % seconds
 
     def expire(signum, frame):
-        raise BudgetExceeded("%s%r %s" % (fn.__name__, tuple(args), late))
+        raise BudgetExceeded("%s %s" % (describe_call(fn, args), late))
 
     limits = resource.getrlimit(resource.RLIMIT_AS)
     previous = signal.signal(signal.SIGALRM, expire)
@@ -73,7 +85,7 @@ def call_within_budget(fn, args, seconds=BUDGET_S):
     if why is not None:
         # raised past the except clauses, so that the report keeps no frame
         # of fn, nor the memory those frames hold
-        raise BudgetExceeded("%s%r %s" % (fn.__name__, tuple(args), why))
+        raise BudgetExceeded("%s %s" % (describe_call(fn, args), why))
     return result
 
 
@@ -270,3 +282,18 @@ def test_returns_or_raises_value_error_within_budget(name, data):
 )
 def test_reported_inputs_raise_value_error(fn, args):
     assert isinstance(call_within_budget(fn, args), ValueError)
+
+
+def test_overrun_report_names_sizes_not_values():
+    d = torus.torus_pd(2, 20001)
+
+    def seifert_signature(d, word):
+        raise MemoryError
+
+    with pytest.raises(BudgetExceeded) as exc:
+        call_within_budget(seifert_signature, (d, [1] * 20001))
+    report = str(exc.value)
+    assert report == (
+        "seifert_signature(DiagramCode, list of len 20001) ran out of its memory budget"
+    )
+    assert len(report) < 1024
