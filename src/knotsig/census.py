@@ -16,7 +16,6 @@ import contextlib
 import csv
 import json
 import math
-import statistics
 import warnings
 from pathlib import Path
 
@@ -170,7 +169,7 @@ def ingest(source):
         path = Path(source)
         where, short = path, path.name
         try:
-            fh = path.open(newline="", encoding="utf-8")
+            fh = path.open(newline="", encoding="utf-8-sig")
         except OSError as exc:
             raise CensusFormatError("cannot read %s: %s" % (path, exc)) from exc
     with fh as stream:
@@ -251,6 +250,9 @@ def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
     """Fold derived rows into a StatsReport; derive() routes through here,
     so re-aggregating a report's rows reproduces the report. A non-finite
     envelope constant is a ValueError."""
+    # imported here, its only reader, so that start-up does not load it
+    import statistics
+
     _require_finite_number(envelope_b, "envelope constant b")
     _require_finite_number(envelope_c, "envelope constant c")
     by_crossing = {}

@@ -30,7 +30,7 @@ from .twistfam import family_report, load_spec
 def _read_text(path):
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 

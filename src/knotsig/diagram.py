@@ -22,7 +22,9 @@ strand is then the cycle of i -> other[i ^ 2] and the faces are the cycles
 of i -> other[(i & ~3) | ((i + 1) & 3)]. The Seifert circles are worked
 out on first read, since only the Seifert side reads them. `braided_path`
 reads the circle order off the Seifert graph. Each Vogel move builds one
-new geometry.
+new geometry: it pairs again only the ends of the six arcs it touches,
+takes every other pair from its parent, and then walks the strand and
+finds the faces in full.
 
 `checkerboard` colours the faces for itself, from the walk alone: the face
 left of the walk changes colour at every crossing, so the even and the odd
@@ -223,15 +225,17 @@ class _Geometry:
       only the Seifert side reads them. Circles are numbered in order of
       their least label.
 
-    Built once per code, by `DiagramCode`, and once per Vogel move. The
-    circles and the crossings alone give the circle order of a braided
-    diagram (`braided_path`)."""
+    Built once per code, by `DiagramCode`, and once per Vogel move, which
+    passes `other`: its parent's pairs, with the ends it touched checked
+    and paired again, so the other labels keep the check of the build
+    they came from. The circles and the crossings alone give the circle
+    order of a braided diagram (`braided_path`)."""
 
-    def __init__(self, tuples):
+    def __init__(self, tuples, other=None):
         self.n = len(tuples)
         self.tuples = tuple(tuples)
         self.labels = list(chain.from_iterable(tuples))
-        self.other = _arc_ends(tuples, self.labels)
+        self.other = _arc_ends(tuples, self.labels) if other is None else other
         if self.n == 0:
             self.signs = ()
             return
@@ -373,9 +377,24 @@ class _Geometry:
     def defect(self):
         """Two arcs of one face, on distinct circles, with the face on the
         same side of both; present exactly when the diagram is not braided.
-        Returns (arc_a, arc_b, side) with arc_a < arc_b."""
+        Returns (arc_a, arc_b, side) with arc_a < arc_b.
+
+        key[i] is twice the circle of incidence i's arc, plus 1 where i is
+        the arc's arrival, so a face has no such pair exactly when its keys
+        are one value or two of different parity. Only the first face that
+        has one is sorted to find it."""
         labels, head, circle_of = self.labels, self.head, self.circle_of
+        key = [2 * circle_of[e] for e in labels]
+        for a in self.walk:
+            key[a] += 1
         for orbit in self.faces:
+            ks = set(map(key.__getitem__, orbit))
+            if len(ks) == 1:
+                continue
+            if len(ks) == 2:
+                k1, k2 = ks
+                if (k1 ^ k2) & 1:
+                    continue
             entries = []
             for i in orbit:
                 e = labels[i]
@@ -461,23 +480,39 @@ def _vogel_move(geom, defect):
     the two plane pictures (face left of both arcs, face right of both),
     so a new code that fails validation is a fault of this function.
     Its labels are exactly 1..2n+4, so they need no relabelling.
-    Preserves the circle count; returns the geometry of the new code."""
+
+    The move rewrites the arrival slots of the two arcs and adds eight
+    incidences, so only the ten ends of its six labels (the two arcs and
+    the four new ones) are paired again; every other arc keeps the ends
+    checked when the parent was built. Preserves the circle count; returns
+    the geometry of the new code."""
     ea, eb, side = defect
-    tuples = [list(t) for t in geom.tuples]
-    base = 2 * geom.n
-    a2, a3, b2, b3 = base + 1, base + 2, base + 3, base + 4
-    ca, sa = divmod(geom.head[ea], 4)
-    cb, sb = divmod(geom.head[eb], 4)
-    tuples[ca][sa] = a3
-    tuples[cb][sb] = b3
+    n = geom.n
+    a2, a3, b2, b3 = 2 * n + 1, 2 * n + 2, 2 * n + 3, 2 * n + 4
     a1, b1 = ea, eb
     if side == 0:
         xa, xb = (b2, a2, b3, a1), (b1, a2, b2, a3)
     else:
         xa, xb = (b2, a1, b3, a2), (b1, a3, b2, a2)
-    tuples = [tuple(t) for t in tuples] + [xa, xb]
+    tuples = list(geom.tuples)
+    ia, ib = geom.head[ea], geom.head[eb]
+    for i, e in ((ia, a3), (ib, b3)):
+        c, s = i >> 2, i & 3
+        t = tuples[c]
+        tuples[c] = t[:s] + (e,) + t[s + 1:]
+    tuples += (xa, xb)
+    other = geom.other + [-1] * 8
+    ends = defaultdict(list)
+    for i in (ia, ib, other[ia], other[ib], *range(4 * n, 4 * n + 8)):
+        ends[tuples[i >> 2][i & 3]].append(i)
     try:
-        return _Geometry(tuples)
+        for pair in ends.values():
+            if len(pair) != 2:
+                raise _label_error(tuples)
+            i, j = pair
+            other[i] = j
+            other[j] = i
+        return _Geometry(tuples, other)
     except ValueError as err:
         raise RuntimeError("coherence move made an invalid code: %s" % err) from err
 

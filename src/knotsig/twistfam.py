@@ -164,7 +164,7 @@ def load_spec(source):
     if hasattr(source, "read"):
         raw = json.load(source)
     else:
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("spec must be a JSON object")

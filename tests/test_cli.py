@@ -586,11 +586,39 @@ class TestExitCodes:
             assert capsys.readouterr().out
 
 
+# a file each subcommand that reads one accepts, and the flags it needs
+INPUT_FILES = {
+    "census-stats": (SAMPLE.read_text(encoding="utf-8"), ("--out", "{out}")),
+    "signature": ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n", ()),
+    "twist-verify": ('{"base_braid": [1, 1, 1], "regions": [[3, 1, 2]]}', ()),
+    "correct-slope": ("0.2+3.1i:odd\n", ("--slope", "5", "--epsilon", "0.5")),
+}
+
+
+class TestByteOrderMark:
+    # Notepad and Excel may save UTF-8 with a leading byte-order mark
+    @pytest.mark.parametrize("command", sorted(INPUT_FILES))
+    def test_input_file_with_bom_reads_as_without(self, capsys, tmp_path, command):
+        text, flags = INPUT_FILES[command]
+        flags = [f.format(out=tmp_path / "out") for f in flags]
+        results = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(prefix + text.encode("utf-8"))
+            results.append(run_cli(capsys, command, str(path), *flags))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+
 class TestStartUp:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # -S: no site hooks, so only the package's own imports count
         env = dict(os.environ, PYTHONPATH=str(Path(knotsig.__file__).parents[1]))
-        code = "import sys, knotsig.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        # statistics: only census.aggregate reads it, and imports it there
+        code = (
+            "import sys, knotsig.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))"
+        )
         out = subprocess.run(
             [sys.executable, "-S", "-c", code],
             env=env, capture_output=True, text=True, timeout=60, check=True,

@@ -1,8 +1,11 @@
 """Diagram parsing, the Goeritz pipeline, and the Seifert pipeline."""
 
+import hashlib
 import importlib.resources
+import importlib.util
 import math
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -38,6 +41,15 @@ from knotsig.torus import torus_pd
 
 TREFOIL_TEXT = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 CORPUS = str(importlib.resources.files("knotsig") / "data" / "corpus.tsv")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """The module scripts/<name>.py, imported by path."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def plat(word):
@@ -522,6 +534,54 @@ class TestSeifert:
         ):
             words = [diagram.braid_word(make(d)) for d in corpus.values()]
             assert sum(len(w) for w in words) == total
+        # 420 moves, where no corpus diagram needs more than 12
+        tuples = load_script("make_corpus").pretzel_tuples((-5, 7, 9, 11, 13))
+        word = diagram.braid_word(DiagramCode.from_tuples(tuples))
+        assert len(word) == 885
+        digest = hashlib.sha256(",".join(map(str, word)).encode()).hexdigest()
+        assert digest.startswith("bb866517dd6d8d49")
+
+    def test_vogel_moves_equal_fresh_builds(self, monkeypatch):
+        # a move pairs only the ends of the arcs it touches and copies the
+        # rest from its parent; its geometry must be the one a full build
+        # of its code gives
+        move = diagram._vogel_move
+        fields = (
+            "n", "tuples", "labels", "other", "walk", "head", "signs", "faces",
+            "face_of", "succ", "circles", "circle_of",
+        )
+        moves = 0
+
+        def checked(geom, defect):
+            nonlocal moves
+            g = move(geom, defect)
+            fresh = diagram._Geometry(g.tuples)
+            for name in fields:
+                assert getattr(g, name) == getattr(fresh, name), name
+            assert g.defect() == fresh.defect()
+            moves += 1
+            return g
+
+        monkeypatch.setattr(diagram, "_vogel_move", checked)
+        codes = []
+        for d in load_fixture_file(CORPUS).values():
+            codes += [d, mirror_diagram(d), insert_kink(d, 1), insert_kink(d, -1)]
+        codes += map(DiagramCode, random_plats(random.Random(3), 100))
+        for d in codes:
+            diagram.braid_word(d)
+        assert moves == 2069
+
+    def test_vogel_move_checks_the_ends_it_pairs(self):
+        # the same arc twice: its arrival slot is rewritten twice, so the
+        # arc gets three ends and a3 (2n + 2), written there first, one
+        d = DiagramCode.from_braid_word([1, -2, 1, -2])
+        e = d._geom.labels[0]
+        with pytest.raises(RuntimeError) as err:
+            diagram._vogel_move(d._geom, (e, e, 0))
+        assert str(err.value) == (
+            "coherence move made an invalid code: "
+            "arc labels without exactly two ends: [2, 10]"
+        )
 
     def test_kink_then_unknot_word(self):
         d = insert_kink(DiagramCode.from_tuples([]), sign=1)
