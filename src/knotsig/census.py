@@ -10,12 +10,18 @@ where geodesics is a semicolon-separated list of "re+imi:parity[:radius]"
 entries and pd is an optional quoted diagram code. Emitted files append
 derived columns to the same schema, so a derived CSV ingests again and
 re-emits byte for byte.
+
+Soft geometry warnings raised while rows are parsed are captured once per
+file and re-issued after it as `GeometryWarning`s, in row order, each
+with its "<file> line N: " context, also when a later row raises an
+ingest error.
 """
 
 import contextlib
 import csv
 import json
 import math
+import operator
 import warnings
 from pathlib import Path
 
@@ -128,11 +134,13 @@ def format_geodesics(geos):
     return ";".join(parts)
 
 
-def _parse_row(rec):
-    name = (rec["name"] or "").strip()
+def _parse_row(name, crossings, sigma, volume, inj, re, im, longitude, geodesics, pd):
+    """One row from its fields in `_COLUMNS` order; a field that a short
+    row lacks is None."""
+    name = (name or "").strip()
     if not name:
         raise ValueError("empty name")
-    meridian = complex(float(rec["meridian_re"]), float(rec["meridian_im"]))
+    meridian = complex(float(re), float(im))
     if meridian.imag < 0:
         warnings.warn(
             "meridian of %s has negative imaginary part; conjugating" % name,
@@ -140,17 +148,17 @@ def _parse_row(rec):
             stacklevel=2,
         )
         meridian = meridian.conjugate()
-    pd_field = (rec["pd"] or "").strip()
+    pd = (pd or "").strip()
     return CensusRow(
         name=name,
-        crossings=int(rec["crossings"]),
-        sigma=int(rec["signature"]),
-        volume=float(rec["volume"]),
-        inj=float(rec["inj_radius"]),
+        crossings=int(crossings),
+        sigma=int(sigma),
+        volume=float(volume),
+        inj=float(inj),
         meridian=meridian,
-        longitude=float(rec["longitude"]),
-        geodesics=parse_geodesics(rec["geodesics"] or ""),
-        pd=DiagramCode.parse(pd_field) if pd_field else None,
+        longitude=float(longitude),
+        geodesics=parse_geodesics(geodesics or ""),
+        pd=DiagramCode.parse(pd) if pd else None,
     )
 
 
@@ -159,8 +167,13 @@ def ingest(source):
     validated rows. A stream is read but not closed, and messages name it
     by its `name` attribute, "<stdin>" for standard input.
 
-    Malformed rows raise CensusFormatError with the offending line number;
-    soft geometry warnings are re-issued with row context attached.
+    Rows are read as `csv.DictReader` reads them: blank lines are skipped,
+    a field missing from a short row is None, extra fields are ignored, a
+    repeated column name reads its last column. Malformed rows raise
+    CensusFormatError with the offending line number. Soft geometry
+    warnings are captured once for the whole file and re-issued after
+    it, in row order, with "<file> line N: " attached, also when a later
+    row raises.
     """
     if hasattr(source, "read"):
         fh = contextlib.nullcontext(source)
@@ -173,8 +186,8 @@ def ingest(source):
         except OSError as exc:
             raise CensusFormatError("cannot read %s: %s" % (path, exc)) from exc
     with fh as stream:
-        reader = csv.DictReader(stream)
-        header = reader.fieldnames
+        reader = csv.reader(stream)
+        header = next(reader, None)
         if header is None:
             raise CensusFormatError("%s: empty file, expected a header row" % where)
         missing = [c for c in _COLUMNS if c not in header]
@@ -182,24 +195,35 @@ def ingest(source):
             raise CensusFormatError(
                 "%s: header is missing columns %s" % (where, ", ".join(missing))
             )
+        column = {c: i for i, c in enumerate(header)}
+        pick = operator.itemgetter(*[column[c] for c in _COLUMNS])
+        width = len(header)
         rows = []
-        for rec in reader:
-            line = reader.line_num
+        pending = []  # (line, message) of every warning of a parsed row
+        try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                try:
-                    row = _parse_row(rec)
-                except (ValueError, TypeError) as exc:
-                    raise CensusFormatError(
-                        "%s line %d: %s" % (where, line, exc)
-                    ) from exc
-            for w in caught:
+                for fields in reader:
+                    if not fields:
+                        continue
+                    if len(fields) < width:
+                        fields += [None] * (width - len(fields))
+                    try:
+                        rows.append(_parse_row(*pick(fields)))
+                    except (ValueError, TypeError) as exc:
+                        raise CensusFormatError(
+                            "%s line %d: %s" % (where, reader.line_num, exc)
+                        ) from exc
+                    if caught:
+                        pending.extend((reader.line_num, w.message) for w in caught)
+                        caught.clear()
+        finally:
+            for line, message in pending:
                 warnings.warn(
-                    "%s line %d: %s" % (short, line, w.message),
+                    "%s line %d: %s" % (short, line, message),
                     GeometryWarning,
                     stacklevel=2,
                 )
-            rows.append(row)
     return rows
 
 

@@ -42,6 +42,7 @@ from itertools import chain
 
 from ._record import Record
 from .braid import (
+    MAX_BRAID_LETTERS,
     closure_is_knot,
     collins_seifert_matrix,
     trace_closure_tuples,
@@ -56,6 +57,10 @@ class EmptyPDError(ValueError):
 
 class PDSyntaxError(ValueError):
     """Text does not match the PD grammar or violates the slot convention."""
+
+
+class PDSizeError(ValueError):
+    """More crossings in the input text than MAX_PD_CROSSINGS."""
 
 
 class ArcMultiplicityError(ValueError):
@@ -135,8 +140,24 @@ _TERM = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 _TOKEN = re.compile(r"\s*(?:" + _TERM.pattern + r"|(\S))")
 
 
+# The largest code parse_pd reads, counted before any tuple is built: the
+# largest the package builds itself, a closure of MAX_BRAID_LETTERS letters.
+# The twist hub at q = 19,999 written as a PD file (119,996 crossings) took
+# 1.9-2.4 s and 170 MB in `signature --method gl` and 3.6-4.6 s and 280 MB
+# with --method seifert, as fresh processes on a shared 2-core Xeon.
+MAX_PD_CROSSINGS = MAX_BRAID_LETTERS
+
+
 def parse_pd(text):
-    """Parse whitespace-separated "X(a,b,c,d)" terms into a DiagramCode."""
+    """Parse whitespace-separated "X(a,b,c,d)" terms into a DiagramCode.
+    Text with more than MAX_PD_CROSSINGS terms raises PDSizeError before
+    any is read."""
+    count = text.count("X(")
+    if count > MAX_PD_CROSSINGS:
+        raise PDSizeError(
+            "diagram code has %d crossings, more than the limit of %d"
+            % (count, MAX_PD_CROSSINGS)
+        )
     tuples = []
     for a, b, c, d, bad in _TOKEN.findall(text):
         if bad:

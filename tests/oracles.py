@@ -12,21 +12,29 @@ diagram geometry is rebuilt by the package's former dict-based walk, and
 the package's former trace closure (label every edge, then merge and
 rename), Goeritz form (counters keyed by face) and braid Seifert matrix
 (dense, every loop against every loop of the next generator) are kept as
-references.
+references, and so is the former census ingest (one dict per row from
+`csv.DictReader`, one warnings capture per row).
 """
 
+import contextlib
+import csv
 import math
+import warnings
 from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import sympy
 
 from knotsig.braid import closure_is_knot, word_strands
+from knotsig.census import _COLUMNS, CensusFormatError, CensusRow, parse_geodesics
+from knotsig.cusp import GeometryWarning
 from knotsig.diagram import (
     ArcMultiplicityError,
+    DiagramCode,
     GoeritzData,
     MultiComponentError,
     PDSyntaxError,
@@ -682,3 +690,80 @@ def dense(rows):
         for j, x in row.items():
             out[i][j] = x
     return out
+
+
+# census.ingest and its row parser as they were when every row was read as
+# a DictReader dict under its own warnings capture
+def _parse_row_reference(rec):
+    name = (rec["name"] or "").strip()
+    if not name:
+        raise ValueError("empty name")
+    meridian = complex(float(rec["meridian_re"]), float(rec["meridian_im"]))
+    if meridian.imag < 0:
+        warnings.warn(
+            "meridian of %s has negative imaginary part; conjugating" % name,
+            GeometryWarning,
+            stacklevel=2,
+        )
+        meridian = meridian.conjugate()
+    pd_field = (rec["pd"] or "").strip()
+    return CensusRow(
+        name=name,
+        crossings=int(rec["crossings"]),
+        sigma=int(rec["signature"]),
+        volume=float(rec["volume"]),
+        inj=float(rec["inj_radius"]),
+        meridian=meridian,
+        longitude=float(rec["longitude"]),
+        geodesics=parse_geodesics(rec["geodesics"] or ""),
+        pd=DiagramCode.parse(pd_field) if pd_field else None,
+    )
+
+
+def ingest_reference(source):
+    """Read a census CSV, given as a path or an open text stream, into
+    validated rows. A stream is read but not closed, and messages name it
+    by its `name` attribute, "<stdin>" for standard input.
+
+    Malformed rows raise CensusFormatError with the offending line number;
+    soft geometry warnings are re-issued with row context attached.
+    """
+    if hasattr(source, "read"):
+        fh = contextlib.nullcontext(source)
+        where = short = getattr(source, "name", "<stream>")
+    else:
+        path = Path(source)
+        where, short = path, path.name
+        try:
+            fh = path.open(newline="", encoding="utf-8-sig")
+        except OSError as exc:
+            raise CensusFormatError("cannot read %s: %s" % (path, exc)) from exc
+    with fh as stream:
+        reader = csv.DictReader(stream)
+        header = reader.fieldnames
+        if header is None:
+            raise CensusFormatError("%s: empty file, expected a header row" % where)
+        missing = [c for c in _COLUMNS if c not in header]
+        if missing:
+            raise CensusFormatError(
+                "%s: header is missing columns %s" % (where, ", ".join(missing))
+            )
+        rows = []
+        for rec in reader:
+            line = reader.line_num
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    row = _parse_row_reference(rec)
+                except (ValueError, TypeError) as exc:
+                    raise CensusFormatError(
+                        "%s line %d: %s" % (where, line, exc)
+                    ) from exc
+            for w in caught:
+                warnings.warn(
+                    "%s line %d: %s" % (short, line, w.message),
+                    GeometryWarning,
+                    stacklevel=2,
+                )
+            rows.append(row)
+    return rows

@@ -1,17 +1,25 @@
 """Census ingestion, derived statistics, and deterministic emission."""
 
+import csv
+import hashlib
 import importlib.resources
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from knotsig import census
+from knotsig import census, diagram
 from knotsig.census import CensusFormatError, CensusRow
+from knotsig.cli import main
 from knotsig.cusp import GeometryWarning
 from knotsig.diagram import gl_signature
+
+from oracles import ingest_reference
 
 HEADER = (
     "name,crossings,signature,volume,inj_radius,"
@@ -95,6 +103,18 @@ class TestIngest:
         with pytest.raises(CensusFormatError, match="crossing"):
             census.ingest(path)
 
+    def test_pd_over_the_size_limit_names_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diagram, "MAX_PD_CROSSINGS", 2)
+        path = write_csv(
+            tmp_path,
+            'K,5,-2,4.0,0.5,0.8,1.0,5.0,,"X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)"',
+        )
+        with pytest.raises(CensusFormatError) as err:
+            census.ingest(path)
+        assert str(err.value) == (
+            "%s line 2: diagram code has 3 crossings, more than the limit of 2" % path
+        )
+
     def test_geodesics_round_trip(self):
         text = "0.2+3.1415i:odd;0.5-0.25i:even:1.25"
         geos = census.parse_geodesics(text)
@@ -109,6 +129,110 @@ class TestIngest:
         # a tube radius that is not a number names its geodesic
         with pytest.raises(ValueError, match=r"geodesic '0\.1\+0\.1i:odd:abc'"):
             census.parse_geodesics("0.2+3.1415i:odd;0.1+0.1i:odd:abc")
+
+
+# census fields per column: values that parse, some of them with a soft
+# geometry warning, and malformed ones. The meridian pairs (0.8, -1.0) and
+# (0.1, 0.5), volume 1.5 and injectivity radius 1.9 warn. A name with a
+# line break spans two lines.
+FIELD_VALUES = {
+    "name": (("K", " 6_1 ", "a\nb"), ("", " ")),
+    "crossings": (("5", "12"), ("2", "x")),
+    "signature": (("-2", "0"), ("-3", "1.5")),
+    "volume": (("4.0", "1.5"), ("huge", "1e999")),
+    "inj_radius": (("0.5", "1.9"), ("0",)),
+    "meridian_re": (("0.8", "0.1"), ("x",)),
+    "meridian_im": (("1.0", "-1.0", "0.5"), ("nan",)),
+    "longitude": (("5.0",), ("-1",)),
+    "geodesics": (("", "0.2+3.1415i:odd;0.5-0.25i:even:1.25"), ("nonsense",)),
+    "pd": (("", "X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)"), ("X(1,2,3,4) junk", "X(1,1,2,2)")),
+}
+GOOD = "K,5,-2,4.0,0.5,0.8,1.0,5.0,,"
+WARNED = "K,5,-2,4.0,1.9,0.8,-1.0,5.0,,"
+
+
+@st.composite
+def census_texts(draw):
+    """CSV text for ingest, and how it is read: "stream", "path", or
+    "bom", a path to the text behind a UTF-8 byte-order mark."""
+    header = list(draw(st.permutations(census._COLUMNS)))
+    if draw(st.booleans()):
+        # a repeated name, whose last column is the one read
+        at = draw(st.integers(0, len(header)))
+        header.insert(at, draw(st.sampled_from(census._COLUMNS)))
+    if draw(st.integers(0, 9)) == 0:
+        gone = draw(st.sampled_from(census._COLUMNS))
+        header = [h for h in header if h != gone]
+    if draw(st.booleans()):
+        header.append("note")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            out.write("\n")
+            continue
+        row = []
+        for h in header:
+            fine, malformed = FIELD_VALUES.get(h, (("x",), ("x",)))
+            pool = malformed if draw(st.integers(0, 39)) == 0 else fine
+            row.append(draw(st.sampled_from(pool)))
+        if draw(st.integers(0, 5)) == 0:
+            # a short row, or one with extra fields
+            row = (row + ["extra", "extra"])[: draw(st.integers(1, len(row) + 2))]
+        writer.writerow(row)
+    return out.getvalue(), draw(st.sampled_from(("stream", "path", "bom")))
+
+
+def ingest_outcome(ingest, source, action):
+    """The rows or the error (type and text) of ingest(source), and the
+    warnings it issued (category and text, in order), under `action`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        try:
+            result = ingest(source())
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestIngestOracle:
+    @pytest.mark.parametrize("action", ["always", "default", "error"])
+    @given(case=census_texts())
+    # blank lines, a short row, extra fields and a repeated name; a warned
+    # row, then a blank line, then a malformed row
+    @example(
+        case=(
+            "\n".join(
+                [
+                    HEADER + ",name",
+                    WARNED + ",A",
+                    "",
+                    'B,5,-2,4.0,0.5,0.8,1.0,5.0,0.2+3.1415i:odd,'
+                    '"X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)",C,extra,extra',
+                    "",
+                    "",
+                    "D,5,-2,4.0,0.5,0.8,1.0,5.0",
+                    WARNED + ",E",
+                    "F,5,-2,4.0,0.5,0.8,1.0",
+                ]
+            )
+            + "\n",
+            "bom",
+        )
+    )
+    @example(case=("name,crossings\nK,5\n", "path"))
+    @example(case=("\n".join([HEADER, GOOD, WARNED, GOOD.replace("-2", "-3")]), "stream"))
+    @example(case=("\n".join([HEADER, WARNED, GOOD.replace("4.0", "huge")]), "path"))
+    @example(case=("\n".join([HEADER, WARNED, GOOD + '"X(1,2,3,4) junk"']), "stream"))
+    def test_matches_the_dict_reader_ingest(self, action, case):
+        text, how = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "census.csv"
+            path.write_text(("\ufeff" if how == "bom" else "") + text, encoding="utf-8")
+            source = (lambda: io.StringIO(text)) if how == "stream" else (lambda: path)
+            want = ingest_outcome(ingest_reference, source, action)
+            assert ingest_outcome(census.ingest, source, action) == want
 
 
 class TestDerive:
@@ -258,6 +382,17 @@ class TestEmit:
     def test_plots_json_matches_the_indenting_encoder(self, payload):
         want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert census._plots_json(payload) == want
+
+    def test_sample_output_bytes_pinned(self, tmp_path, capsys):
+        assert main(["census-stats", str(SAMPLE), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("derived.csv") == (
+            "93d6328156863dd4060e4abb48d861dc79ab485d44be422e14ffbda1ba4e8aa6"
+        )
+        assert digest("plots.json") == (
+            "80db91b011221419dcf924b5bd1e89e8c49737ee1f495b9fec7bfda75273a521"
+        )
 
     def test_uses_lf_line_endings(self, tmp_path):
         c, _ = census.emit(census.derive(census.ingest(SAMPLE)), tmp_path)

@@ -30,6 +30,7 @@ from knotsig.torus import kappa
 from knotsig.twistfam import TwistSpec, family_report
 
 from test_census import SAMPLE
+from test_diagram import NoTerms
 
 STEVEDORE = ("--longitude", "3.9279", "--meridian", "0.7237+1.0160i")
 K12A52 = ("--longitude", "27.7228", "--meridian", "-1.2838+0.5145i")
@@ -168,6 +169,16 @@ class TestDiagramCommands:
     def test_signature_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self.TREFOIL))
         assert run_cli(capsys, "signature", "-") == (0, "gl -2\nseifert -2\n")
+
+    def test_over_the_size_limit_is_1_at_once(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("X(1,2,3,4) " * 120_001))
+        monkeypatch.setattr("knotsig.diagram._TOKEN", NoTerms())
+        rc = main(["signature", "-"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == (
+            "error: diagram code has 120001 crossings, more than the limit of 120000\n"
+        )
 
     def test_signature_bad_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "junk.pd"

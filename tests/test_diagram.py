@@ -27,8 +27,10 @@ from knotsig import braid, diagram, twistfam
 from knotsig.diagram import (
     ArcMultiplicityError,
     DiagramCode,
+    MAX_PD_CROSSINGS,
     EmptyPDError,
     MultiComponentError,
+    PDSizeError,
     PDSyntaxError,
     checkerboard,
     gl_signature,
@@ -42,6 +44,13 @@ from knotsig.torus import torus_pd
 TREFOIL_TEXT = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 CORPUS = str(importlib.resources.files("knotsig") / "data" / "corpus.tsv")
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+class NoTerms:
+    """Stands in for `diagram._TOKEN` where no term may be read."""
+
+    def findall(self, text):
+        raise AssertionError("a term was read")
 
 
 def load_script(name):
@@ -123,6 +132,25 @@ class TestParse:
         with pytest.raises(PDSyntaxError) as err:
             parse_pd(text)
         assert str(err.value) == message
+
+    def test_size_limit_is_the_letter_cap(self):
+        assert MAX_PD_CROSSINGS == braid.MAX_BRAID_LETTERS == 120_000
+
+    def test_over_the_size_limit_reads_no_term(self, monkeypatch):
+        monkeypatch.setattr(diagram, "_TOKEN", NoTerms())
+        count = MAX_PD_CROSSINGS + 1
+        with pytest.raises(PDSizeError) as err:
+            parse_pd("X(1,2,3,4) " * count)
+        assert str(err.value) == (
+            "diagram code has 120001 crossings, more than the limit of 120000"
+        )
+
+    def test_size_limit_admits_a_code_at_it(self, monkeypatch):
+        monkeypatch.setattr(diagram, "MAX_PD_CROSSINGS", 3)
+        assert parse_pd(TREFOIL_TEXT).n == 3
+        five = pd_text(DiagramCode.from_braid_word([1] * 5))
+        with pytest.raises(PDSizeError, match="5 crossings, more than the limit of 3"):
+            parse_pd(five)
 
     def test_round_trip(self):
         d = parse_pd(TREFOIL_TEXT)
