@@ -200,6 +200,8 @@ def ingest(source):
         width = len(header)
         rows = []
         pending = []  # (line, message) of every warning of a parsed row
+        # reader.line_num is the last line of the current row, as
+        # DictReader's is: it sets line_num again after skipping blank lines
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

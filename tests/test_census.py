@@ -77,6 +77,24 @@ class TestIngest:
         with pytest.raises(CensusFormatError, match="line 3"):
             census.ingest(path)
 
+    def test_row_after_blank_lines_reports_its_own_line(self, tmp_path):
+        # csv.DictReader reports a row's own line after blank lines: its
+        # __next__ reads the `fieldnames` property after skipping them,
+        # and that property sets line_num again
+        low = "K,2,-2,4.0,0.5,0.8,1.0,5.0,,"
+        text = "\n".join([HEADER, "", "", WARNED.replace("K", "W"), "", "", low])
+        reader = csv.DictReader(io.StringIO(text))
+        assert [(rec["name"], reader.line_num) for rec in reader] == [("W", 4), ("K", 7)]
+        path = write_csv(tmp_path, *text.split("\n")[1:])
+        for ingest in (census.ingest, ingest_reference):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(CensusFormatError) as err:
+                    ingest(path)
+            assert str(err.value) == "%s line 7: crossing number must be at least 3" % path
+            # the meridian and the injectivity radius of row W warn
+            assert [str(w.message).split(": ")[0] for w in caught] == ["census.csv line 4"] * 2
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,crossings\nK,5\n", encoding="utf-8")
