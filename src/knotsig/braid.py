@@ -22,11 +22,12 @@ from .cusp import _require_ints
 # braid), counted before it is built. Every stage grows about linearly in
 # the letters, the hub row of a twist region's Goeritz form included: in
 # process on a shared 2-core Xeon (Python 3.11.7), the 3-strand region of
-# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.9-1.1 s at
-# q = 10,000 (60,002 letters) and 1.4-1.9 s at q = 19,999 (119,996
-# letters: 0.1 s for the closure's tuples, 0.4-0.6 s for the code's
-# geometry, 0.3-0.5 s in `checkerboard`, 0.5-0.7 s in inertia), and
-# `twist-verify` on it took 1.3-1.6 s as a fresh process, peaking at 162 MB.
+# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.6-0.9 s at
+# q = 10,000 (60,002 letters) and 1.4-2.1 s at q = 19,999 (119,996
+# letters: 0.11-0.16 s for the closure's tuples, 0.23-0.34 s for the
+# code's geometry, 0.44-0.66 s in `checkerboard`, 0.61-0.94 s in inertia),
+# and `twist-verify` on it took 1.4-2.1 s as a fresh process, peaking at
+# 140 MB.
 MAX_BRAID_LETTERS = 120_000
 
 

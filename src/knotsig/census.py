@@ -169,7 +169,8 @@ def ingest(source):
 
     Rows are read as `csv.DictReader` reads them: blank lines are skipped,
     a field missing from a short row is None, extra fields are ignored, a
-    repeated column name reads its last column. Malformed rows raise
+    repeated column name reads its last column. Malformed rows, and lines
+    that `csv` cannot read (such as a field past its size limit), raise
     CensusFormatError with the offending line number. Soft geometry
     warnings are captured once for the whole file and re-issued after
     it, in row order, with "<file> line N: " attached, also when a later
@@ -187,22 +188,22 @@ def ingest(source):
             raise CensusFormatError("cannot read %s: %s" % (path, exc)) from exc
     with fh as stream:
         reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise CensusFormatError("%s: empty file, expected a header row" % where)
-        missing = [c for c in _COLUMNS if c not in header]
-        if missing:
-            raise CensusFormatError(
-                "%s: header is missing columns %s" % (where, ", ".join(missing))
-            )
-        column = {c: i for i, c in enumerate(header)}
-        pick = operator.itemgetter(*[column[c] for c in _COLUMNS])
-        width = len(header)
         rows = []
         pending = []  # (line, message) of every warning of a parsed row
-        # reader.line_num is the last line of the current row, as
-        # DictReader's is: it sets line_num again after skipping blank lines
         try:
+            header = next(reader, None)
+            if header is None:
+                raise CensusFormatError("%s: empty file, expected a header row" % where)
+            missing = [c for c in _COLUMNS if c not in header]
+            if missing:
+                raise CensusFormatError(
+                    "%s: header is missing columns %s" % (where, ", ".join(missing))
+                )
+            column = {c: i for i, c in enumerate(header)}
+            pick = operator.itemgetter(*[column[c] for c in _COLUMNS])
+            width = len(header)
+            # reader.line_num is the last line of the current row, as
+            # DictReader's is: it sets line_num again after skipping blank lines
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 for fields in reader:
@@ -219,6 +220,11 @@ def ingest(source):
                     if caught:
                         pending.extend((reader.line_num, w.message) for w in caught)
                         caught.clear()
+        except csv.Error as exc:
+            # a field past csv's size limit, say: that limit is process-wide, left alone
+            raise CensusFormatError(
+                "%s line %d: %s" % (where, reader.line_num, exc)
+            ) from exc
         finally:
             for line, message in pending:
                 warnings.warn(

@@ -19,12 +19,14 @@ there. The geometry works on flat integer lists indexed by incidence
 i = 4c + s, slot s of crossing c. One pass over the labels checks them
 and pairs the two ends of every arc (`other[i]`); the walk along the
 strand is then the cycle of i -> other[i ^ 2] and the faces are the cycles
-of i -> other[(i & ~3) | ((i + 1) & 3)]. The Seifert circles are worked
-out on first read, since only the Seifert side reads them. `braided_path`
-reads the circle order off the Seifert graph. Each Vogel move builds one
-new geometry: it pairs again only the ends of the six arcs it touches,
-takes every other pair from its parent, and then walks the strand and
-finds the faces in full.
+of i -> other[(i & ~3) | ((i + 1) & 3)], kept as the face of every corner
+and a face count. The Seifert circle of every arc is worked out on first
+read, since only the Seifert side reads it. Each Vogel move builds one new
+geometry: it pairs again only the ends of the six arcs it touches, takes
+every other pair from its parent, and then walks the strand and numbers
+the faces in full. `braid_word` reads the circle order of the braided
+diagram off its seam, which steps from circle to circle across shared
+faces.
 
 `checkerboard` colours the faces for itself, from the walk alone: the face
 left of the walk changes colour at every crossing, so the even and the odd
@@ -75,8 +77,8 @@ class DiagramCode(Record):
     """A validated knot diagram: crossing tuples in the strict slot
     convention, with arc labels exactly 1..2n.
 
-    The sign of every crossing and the `_Geometry` (walk, faces, circles)
-    are worked out from the crossings when the code is built, so a code
+    The sign of every crossing and the `_Geometry` (walk, faces) are
+    worked out from the crossings when the code is built, so a code
     that is not a strict planar knot diagram raises a `ValueError`
     subclass then. The geometry takes no part in `==`, `hash` or `repr`."""
 
@@ -143,7 +145,7 @@ _TOKEN = re.compile(r"\s*(?:" + _TERM.pattern + r"|(\S))")
 # The largest code parse_pd reads, counted before any tuple is built: the
 # largest the package builds itself, a closure of MAX_BRAID_LETTERS letters.
 # The twist hub at q = 19,999 written as a PD file (119,996 crossings) took
-# 1.9-2.4 s and 170 MB in `signature --method gl` and 3.6-4.6 s and 280 MB
+# 1.8-2.5 s and 148 MB in `signature --method gl` and 3.5-5.2 s and 260 MB
 # with --method seifert, as fresh processes on a shared 2-core Xeon.
 MAX_PD_CROSSINGS = MAX_BRAID_LETTERS
 
@@ -239,18 +241,18 @@ class _Geometry:
       `ValueError` subclass unless the code is a strict knot diagram.
     - The faces are the cycles of i -> other[(i & ~3) | ((i + 1) & 3)]
       (leave by the next slot counterclockwise, keeping the face on one
-      side), visited in increasing i. `face_of[4c + k]` is the face at the
-      corner between slots k and k + 1; a planar code has n + 2 faces.
-    - The Seifert circles of the oriented smoothing (`succ`, `circles`,
-      `circle_of`, indexed by arc label) are worked out on first read, as
-      only the Seifert side reads them. Circles are numbered in order of
-      their least label.
+      side), numbered in order of their least i. `face_of[4c + k]` is the
+      face at the corner between slots k and k + 1, and `face_count` is
+      the number of faces; a planar code has n + 2.
+    - The Seifert circle of every arc of the oriented smoothing
+      (`circle_of`, indexed by arc label) is worked out on first read, as
+      only the Seifert side reads it. Circles are numbered in order of
+      their least label; `_circle` walks one.
 
     Built once per code, by `DiagramCode`, and once per Vogel move, which
     passes `other`: its parent's pairs, with the ends it touched checked
     and paired again, so the other labels keep the check of the build
-    they came from. The circles and the crossings alone give the circle
-    order of a braided diagram (`braided_path`)."""
+    they came from."""
 
     def __init__(self, tuples, other=None):
         self.n = len(tuples)
@@ -304,96 +306,49 @@ class _Geometry:
             other[1::4], other[2::4], other[3::4], other[0::4]
         )
         face_of = [-1] * m
-        faces = []
+        count = 0
         for i0 in range(m):
             if face_of[i0] < 0:
-                f = face_of[i0] = len(faces)
-                orbit = [i0]
-                i = nxt[i0]
-                while i != i0:
-                    face_of[i] = f
-                    orbit.append(i)
+                i = i0
+                while face_of[i] < 0:
+                    face_of[i] = count
                     i = nxt[i]
-                faces.append(orbit)
-        if len(faces) != self.n + 2:
+                count += 1
+        if count != self.n + 2:
             raise PDSyntaxError(
                 "rotation system has %d faces, need %d: not a planar knot diagram"
-                % (len(faces), self.n + 2)
+                % (count, self.n + 2)
             )
         self.face_of = face_of
-        self.faces = faces
+        self.face_count = count
 
-    @cached_property
-    def succ(self):
-        """succ[e]: the arc after arc e on its Seifert circle, which goes on
-        from the under-strand to the outgoing over-slot (1 at a positive
-        crossing, 3 at a negative one) and from the over-strand to slot 2.
-        The crossing between them is `head[e] >> 2`."""
-        labels, signs = self.labels, self.signs
-        succ = [0] * len(self.head)
-        for e in range(1, len(succ)):
-            a = self.head[e]
+    def _circle(self, e0):
+        """The arcs of arc e0's Seifert circle, in order from e0. The circle
+        goes on from the under-strand to the outgoing over-slot (1 at a
+        positive crossing, 3 at a negative one) and from the over-strand to
+        slot 2; the crossing after arc e is `head[e] >> 2`."""
+        labels, head, signs = self.labels, self.head, self.signs
+        e = e0
+        while True:
+            yield e
+            a = head[e]
             c = a >> 2
-            succ[e] = labels[4 * c + (2 if a & 3 else 2 - signs[c])]
-        return succ
-
-    @cached_property
-    def circles(self):
-        """The Seifert circles, each the list of its arcs from its least."""
-        succ = self.succ
-        seen = [False] * len(succ)
-        circles = []
-        for e in range(1, len(succ)):
-            if not seen[e]:
-                circle = []
-                while not seen[e]:
-                    seen[e] = True
-                    circle.append(e)
-                    e = succ[e]
-                circles.append(circle)
-        return circles
+            e = labels[4 * c + (2 if a & 3 else 2 - signs[c])]
+            if e == e0:
+                return
 
     @cached_property
     def circle_of(self):
-        """circle_of[e]: the index in `circles` of arc e's circle."""
-        circle_of = [-1] * len(self.succ)
-        for k, circle in enumerate(self.circles):
-            for e in circle:
-                circle_of[e] = k
+        """circle_of[e]: the Seifert circle of arc e, circles numbered in
+        order of their least arc."""
+        circle_of = [-1] * len(self.head)
+        count = 0
+        for e0 in range(1, len(circle_of)):
+            if circle_of[e0] < 0:
+                for e in self._circle(e0):
+                    circle_of[e] = count
+                count += 1
         return circle_of
-
-    def braided_path(self):
-        """Circle order of a braided diagram, read off its Seifert graph
-        (circles as vertices, crossings as edges), which is then a path.
-        The walk starts at the end whose outside face, the one face whose
-        arcs all lie on that circle, comes first in face order. Only a
-        diagram without a defect is asked, so a failed check here is a
-        fault of this module."""
-        circle_of, labels = self.circle_of, self.labels
-        nbrs = defaultdict(set)
-        for c, t in enumerate(self.tuples):
-            ks = {circle_of[e] for e in t}
-            if len(ks) != 2:
-                raise RuntimeError("crossing %d does not join two circles" % c)
-            k1, k2 = ks
-            nbrs[k1].add(k2)
-            nbrs[k2].add(k1)
-        outside = []
-        for orbit in self.faces:
-            ks = {circle_of[labels[i]] for i in orbit}
-            if len(ks) == 1:
-                outside.extend(ks)
-        if len(outside) != 2:
-            raise RuntimeError("%d faces lie on one circle, need 2" % len(outside))
-        order = [outside[0]]
-        while len(order) < len(self.circles):
-            step = nbrs[order[-1]].difference(order[-2:])
-            if len(step) != 1:
-                break
-            order.extend(step)
-        if len(set(order)) != len(self.circles) or order[-1] != outside[1]:
-            raise RuntimeError("Seifert graph is not a path between the outside faces")
-        return order
 
     def defect(self):
         """Two arcs of one face, on distinct circles, with the face on the
@@ -401,30 +356,35 @@ class _Geometry:
         Returns (arc_a, arc_b, side) with arc_a < arc_b.
 
         key[i] is twice the circle of incidence i's arc, plus 1 where i is
-        the arc's arrival, so a face has no such pair exactly when its keys
-        are one value or two of different parity. Only the first face that
-        has one is sorted to find it."""
-        labels, head, circle_of = self.labels, self.head, self.circle_of
+        the arc's arrival, so a face has such a pair exactly when two of its
+        keys differ and have one parity. One pass over `face_of` keeps each
+        face's first key of each parity and finds the least face with
+        another; only that face's incidences are sorted to find the pair."""
+        labels, head, circle_of, face_of = (
+            self.labels, self.head, self.circle_of, self.face_of
+        )
         key = [2 * circle_of[e] for e in labels]
         for a in self.walk:
             key[a] += 1
-        for orbit in self.faces:
-            ks = set(map(key.__getitem__, orbit))
-            if len(ks) == 1:
-                continue
-            if len(ks) == 2:
-                k1, k2 = ks
-                if (k1 ^ k2) & 1:
-                    continue
-            entries = []
-            for i in orbit:
+        first = [-1] * (2 * self.face_count)
+        bad = self.face_count
+        for f, k in zip(face_of, key):
+            j = 2 * f + (k & 1)
+            if first[j] < 0:
+                first[j] = k
+            elif first[j] != k and f < bad:
+                bad = f
+        if bad == self.face_count:
+            return None
+        entries = []
+        for i, f in enumerate(face_of):
+            if f == bad:
                 e = labels[i]
                 entries.append((1 if head[e] == i else 0, circle_of[e], e))
-            entries.sort()
-            for (s1, k1, e1), (s2, k2, e2) in zip(entries, entries[1:]):
-                if s1 == s2 and k1 != k2:
-                    return min(e1, e2), max(e1, e2), s1
-        return None
+        entries.sort()
+        for (s1, k1, e1), (s2, k2, e2) in zip(entries, entries[1:]):
+            if s1 == s2 and k1 != k2:
+                return min(e1, e2), max(e1, e2), s1
 
 
 def checkerboard(d):
@@ -442,7 +402,7 @@ def checkerboard(d):
     # that is not a checkerboard leaves some crossing without a diagonal
     # white pair
     face_of, walk = g.face_of, g.walk
-    colour = [0] * len(g.faces)
+    colour = [0] * g.face_count
     for x, arrivals in ((0, walk[0::2]), (1, walk[1::2])):
         for a in arrivals:
             colour[face_of[(a & ~3) | ((a - 1) & 3)]] = x
@@ -549,44 +509,51 @@ def braid_word(d):
         defect = geom.defect()
         if defect is None:
             break
-        before = len(geom.circles)
+        before = max(geom.circle_of)
         geom = _vogel_move(geom, defect)
-        if len(geom.circles) != before:
+        if max(geom.circle_of) != before:
             raise RuntimeError("coherence move changed the circle count")
     else:
         raise RuntimeError("coherence moves did not terminate")
-    order = geom.braided_path()
-    pos = {k: i + 1 for i, k in enumerate(order)}
 
     # seam: one arc per circle, consecutive seam arcs bordering a shared
-    # face, so cutting along them unrolls the diagram into an open braid;
-    # of the two faces beside a seam arc only the one toward the next
-    # circle has arcs on it
-    labels, head, circle_of = geom.labels, geom.head, geom.circle_of
-    seam = [geom.circles[order[0]][0]]
-    for k in order[1:]:
+    # face, so cutting along them unrolls the diagram into an open braid.
+    # The circles of a braided diagram are nested: each face lies between
+    # two consecutive circles, or inside the innermost or outside the
+    # outermost, on one circle only. The seam starts at the circle of the
+    # first one-circle face in face order, and the next circle is the one
+    # circle in the two faces beside the last seam arc that is not among
+    # the last two on the seam. Only a diagram without a defect gets here,
+    # so a failed check is a fault of this module
+    labels, head, circle_of, face_of = (
+        geom.labels, geom.head, geom.circle_of, geom.face_of
+    )
+    arcs = [[] for _ in range(geom.face_count)]
+    for i, f in enumerate(face_of):
+        arcs[f].append(labels[i])
+    outside = []
+    for face in arcs:
+        ks = {circle_of[e] for e in face}
+        if len(ks) == 1:
+            outside.extend(ks)
+    if len(outside) != 2:
+        raise RuntimeError("%d faces lie on one circle, need 2" % len(outside))
+    count = max(circle_of) + 1
+    order = [outside[0]]
+    seam = [circle_of.index(outside[0])]
+    while len(order) < count:
         a = head[seam[-1]]
-        candidates = [
-            labels[i]
-            for f in (geom.face_of[a], geom.face_of[geom.other[a]])
-            for i in geom.faces[f]
-            if circle_of[labels[i]] == k
-        ]
-        if not candidates:
-            raise RuntimeError("seam cannot reach the next circle")
-        seam.append(min(candidates))
-
-    succ = geom.succ
-    chains = []
-    for e0 in seam:
-        chain = []
-        e = e0
-        while True:
-            chain.append(head[e] >> 2)
-            e = succ[e]
-            if e == e0:
-                break
-        chains.append(chain)
+        near = arcs[face_of[a]] + arcs[face_of[geom.other[a]]]
+        step = {circle_of[e] for e in near}.difference(order[-2:])
+        if len(step) != 1:
+            raise RuntimeError("seam finds %d new circles, need 1" % len(step))
+        (k,) = step
+        order.append(k)
+        seam.append(min(e for e in near if circle_of[e] == k))
+    if len(set(order)) != count or order[-1] != outside[1]:
+        raise RuntimeError("seam does not pass every circle between the outside faces")
+    pos = {k: i + 1 for i, k in enumerate(order)}
+    chains = [[head[e] >> 2 for e in geom._circle(e0)] for e0 in seam]
 
     nxt = defaultdict(list)
     indeg = defaultdict(int)
@@ -613,7 +580,7 @@ def braid_word(d):
         if len(ks) != 2 or ks[1] != ks[0] + 1:
             raise RuntimeError("crossing joins non-adjacent circles")
         letters.append(geom.signs[c] * ks[0])
-    if word_strands(letters) != len(order) or not closure_is_knot(letters):
+    if word_strands(letters) != count or not closure_is_knot(letters):
         raise RuntimeError("extracted word is not a knot braid on all strands")
     return letters
 

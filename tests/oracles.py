@@ -604,13 +604,14 @@ def checkerboard_reference(d):
     if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
     face_of = g.face_of
-    colour = [0] * len(g.faces)
+    faces = max(face_of) + 1
+    colour = [0] * faces
     for i, a in enumerate(g.walk):
         colour[face_of[(a & ~3) | ((a - 1) & 3)]] = i % 2
         colour[face_of[a]] = 1 - i % 2
     outer = face_of[0]
     white = colour[outer]
-    whites = [f for f in range(len(g.faces)) if colour[f] == white and f != outer]
+    whites = [f for f in range(faces) if colour[f] == white and f != outer]
     windex = {f: i for i, f in enumerate(whites)}
     off = defaultdict(Counter)
     correction = 0

@@ -133,6 +133,25 @@ class TestIngest:
             "%s line 2: diagram code has 3 crossings, more than the limit of 2" % path
         )
 
+    def test_field_past_csv_limit_names_line(self, tmp_path):
+        # csv's limit is process-wide and stays as it is; the warnings of
+        # the row before are still issued
+        limit = csv.field_size_limit()
+        pd = " ".join(["X(1,2,3,4)"] * (limit // 11 + 2))
+        path = write_csv(tmp_path, WARNED, '%s"%s"' % (GOOD, pd))
+        message = "field larger than field limit (%d)" % limit
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CensusFormatError) as err:
+                census.ingest(path)
+        assert str(err.value) == "%s line 3: %s" % (path, message)
+        assert [str(w.message).split(": ")[0] for w in caught] == ["census.csv line 2"] * 2
+        assert csv.field_size_limit() == limit
+        path.write_text('"%s",%s\n' % ("x" * (limit + 1), HEADER), encoding="utf-8")
+        with pytest.raises(CensusFormatError) as err:
+            census.ingest(path)
+        assert str(err.value) == "%s line 1: %s" % (path, message)
+
     def test_geodesics_round_trip(self):
         text = "0.2+3.1415i:odd;0.5-0.25i:even:1.25"
         geos = census.parse_geodesics(text)

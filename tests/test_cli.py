@@ -545,6 +545,23 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "derived.csv").exists()
 
+    def test_census_field_past_csv_limit_is_1_and_writes_nothing(self, capsys, tmp_path):
+        # 12,000 crossings in one pd field: about 132,000 characters
+        header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
+        pd = " ".join(["X(1,2,3,4)"] * 12000)
+        path = tmp_path / "long.csv"
+        path.write_text(
+            '%s\nK,5,-2,4.0,0.5,0.8,1.0,5.0,,"%s"\n' % (header, pd), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        rc = main(["census-stats", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s line 2: field larger than" % path)
+        assert captured.err.count("\n") == 1
+        assert not (out / "derived.csv").exists()
+
     @pytest.mark.parametrize(
         "spec",
         [
