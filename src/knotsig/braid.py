@@ -6,6 +6,9 @@ the inverse. Positions are 1-based, words act bottom to top. A trace
 closure is a knot only on the strands its word uses, one more than its
 largest letter (`word_strands`), since any further strand closes into a
 separate component; so the trace-closure functions take the word alone.
+MAX_BRAID_LETTERS bounds the letter count of every word the package builds
+and the letter size of every word it reads, so no per-strand list has more
+than MAX_BRAID_LETTERS + 1 entries.
 
 PD tuples are (a, b, c, d): counterclockwise from the incoming under-strand,
 so the under-strand runs a -> c and the over-strand occupies b and d. With
@@ -18,10 +21,13 @@ from itertools import accumulate
 
 from .cusp import _require_ints
 
-# The longest braid word the package builds (a twisted word, a torus
-# braid), counted before it is built. Every stage grows about linearly in
-# the letters, the hub row of a twist region's Goeritz form included: in
-# process on a shared 2-core Xeon (Python 3.11.7), the 3-strand region of
+# The most letters of a word the package builds (a full twist, a twisted
+# word, a torus braid), counted before it is built by `_require_letters`,
+# and the largest letter of a word it reads (`word_strands`), which no
+# word braided from a diagram of n <= MAX_BRAID_LETTERS crossings reaches:
+# it has at most n + 1 Seifert circles. Every stage grows about linearly
+# in the letters, the hub row of a twist region's Goeritz form included:
+# in process on a shared 2-core Xeon (Python 3.11.7), the 3-strand region of
 # {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.6-0.9 s at
 # q = 10,000 (60,002 letters) and 1.4-2.1 s at q = 19,999 (119,996
 # letters: 0.11-0.16 s for the closure's tuples, 0.23-0.34 s for the
@@ -31,14 +37,23 @@ from .cusp import _require_ints
 MAX_BRAID_LETTERS = 120_000
 
 
+def _require_letters(count, what):
+    if count > MAX_BRAID_LETTERS:
+        raise ValueError(
+            "%s would have %d letters, more than the limit of %d"
+            % (what, count, MAX_BRAID_LETTERS)
+        )
+
+
 def word_strands(word):
     """Smallest strand count carrying the word (one more than the largest
-    generator index); the empty word needs one strand."""
+    generator index, at most MAX_BRAID_LETTERS); the empty word needs one."""
     if not all(isinstance(x, int) and x for x in word):
         raise ValueError("braid letters must be nonzero integers")
-    if not word:
-        return 1
-    return max(map(abs, word)) + 1
+    top = max(map(abs, word), default=0)
+    if top > MAX_BRAID_LETTERS:
+        raise ValueError("braid letter %d is over the limit of %d" % (top, MAX_BRAID_LETTERS))
+    return top + 1
 
 
 def word_permutation(word):
@@ -55,11 +70,7 @@ def word_permutation(word):
 
 
 def closure_is_knot(word):
-    """True when the trace closure has a single component. A cycle on
-    k strands needs at least k - 1 transpositions, so a word shorter
-    than that is rejected before any per-strand list is built."""
-    if word_strands(word) > len(word) + 1:
-        return False
+    """True when the trace closure has a single component."""
     perm = word_permutation(word)
     seen, i = set(), 0
     while i not in seen:
@@ -114,11 +125,7 @@ def full_twist_word(start, size):
     _require_ints((start, size), "start and size")
     if size < 1 or start < 1:
         raise ValueError("need start >= 1 and size >= 1")
-    if size * (size - 1) > MAX_BRAID_LETTERS:
-        raise ValueError(
-            "a full twist on %d strands has more than %d letters"
-            % (size, MAX_BRAID_LETTERS)
-        )
+    _require_letters(size * (size - 1), "a full twist on %d strands" % size)
     if size == 1:
         return []
     return list(range(start, start + size - 1)) * size

@@ -97,11 +97,20 @@ class KnotGeom(Record):
 
 
 def natural_slope(c):
-    """Re(longitude/meridian) = longitude * Re(meridian) / |meridian|^2."""
-    m = _modulus(c.meridian)
+    """Re(longitude/meridian) = longitude * Re(meridian) / |meridian|^2.
+    Where |meridian|^2 overflows, the meridian is first scaled by the
+    larger of |Re| and Im, which brings both parts within [-1, 1]."""
+    z = c.meridian
+    m = _modulus(z)
     if m * m == 0:
-        raise ValueError("|meridian|^2 underflows to zero, meridian %r" % c.meridian)
-    return _require_finite_number(c.longitude * c.meridian.real / (m * m), "natural slope")
+        raise ValueError("|meridian|^2 underflows to zero, meridian %r" % z)
+    if m * m == math.inf:
+        s = max(abs(z.real), z.imag)
+        x, y = z.real / s, z.imag / s
+        slope = c.longitude * x / (x * x + y * y) / s
+    else:
+        slope = c.longitude * z.real / (m * m)
+    return _require_finite_number(slope, "natural slope")
 
 
 def slope_length(c, p, q):

@@ -102,15 +102,15 @@ class DiagramCode(Record):
     @classmethod
     def from_tuples(cls, tuples):
         """The code of `tuples` with their labels renamed, in order, to
-        1..2n, unless they are that already. Label ends are counted before
-        any renaming, so that an error names the labels as given."""
+        1..2n, unless the least is 1 and the greatest 2n. Label ends are
+        counted before any renaming, so that an error names them as given."""
         tuples = [tuple(t) for t in tuples]
+        labels = list(chain.from_iterable(tuples))
         try:
-            ends = sorted(chain.from_iterable(tuples))
+            rename = labels and (min(labels) != 1 or max(labels) != 2 * len(tuples))
         except TypeError:
             raise _label_error(tuples) from None
-        want = list(range(1, 2 * len(tuples) + 1))
-        if ends[::2] != want or ends[1::2] != want:
+        if rename:
             error = _label_error(tuples)
             if isinstance(error, ArcMultiplicityError):
                 raise error

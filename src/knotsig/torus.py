@@ -6,7 +6,7 @@ import math
 from functools import total_ordering
 
 from ._record import Record
-from .braid import MAX_BRAID_LETTERS
+from .braid import _require_letters
 from .cusp import _require_ints
 from .diagram import DiagramCode
 
@@ -131,12 +131,7 @@ def torus_pd(p, q):
     _require_ints((p, q), "p and q")
     if p < 2 or q < 1:
         raise ValueError("need p >= 2 and q >= 1, got (%d, %d)" % (p, q))
-    letters = (p - 1) * q
-    if letters > MAX_BRAID_LETTERS:
-        raise ValueError(
-            "T(%d,%d) braid word would have %d letters, more than the limit of %d"
-            % (p, q, letters, MAX_BRAID_LETTERS)
-        )
+    _require_letters((p - 1) * q, "T(%d,%d) braid word" % (p, q))
     if math.gcd(p, q) != 1:
         raise ValueError(
             "T(%d,%d) is a link; the diagram oracle handles knots only" % (p, q)

@@ -6,7 +6,7 @@ import json
 
 from ._record import Record
 from .braid import (
-    MAX_BRAID_LETTERS,
+    _require_letters,
     closure_is_knot,
     full_twist_word,
     invert_word,
@@ -67,11 +67,7 @@ def twisted_word(spec, q):
     letters = len(spec.base_braid) + sum(
         abs(qi) * count * (count - 1) for (_, _, count), qi in zip(spec.regions, q)
     )
-    if letters > MAX_BRAID_LETTERS:
-        raise ValueError(
-            "twisted word would have %d letters, more than the limit of %d"
-            % (letters, MAX_BRAID_LETTERS)
-        )
+    _require_letters(letters, "twisted word")
     inserts = sorted(zip(spec.regions, q), key=lambda item: item[0][0])
     word = []
     prev = 0

@@ -10,7 +10,7 @@ from diagrams import plat_closure_tuples, random_knot_word
 from oracles import collins_reference, dense, trace_closure_reference
 from test_totality import call_within_budget
 
-from knotsig import braid, twistfam
+from knotsig import braid, torus, twistfam
 from knotsig.exactlin import SymIntMatrix, signature
 
 # 3-strand twist regions: the trefoil's braid with one 2-strand region at
@@ -76,6 +76,7 @@ class TestWords:
         assert braid.closure_is_knot([1, 2])
         # the first strand is crossed by no letter, so closes on its own
         assert not braid.closure_is_knot([2])
+        assert not braid.closure_is_knot([braid.MAX_BRAID_LETTERS])
 
     def test_full_twist(self):
         assert braid.full_twist_word(1, 1) == []
@@ -83,6 +84,26 @@ class TestWords:
         assert braid.full_twist_word(1, 3) == [1, 2, 1, 2, 1, 2]
         with pytest.raises(ValueError):
             braid.full_twist_word(0, 2)
+
+    def test_letter_above_the_limit_rejected(self):
+        assert braid.word_strands([braid.MAX_BRAID_LETTERS]) == 120_001
+        for word in ([120_001], [1, -120_001]):
+            with pytest.raises(ValueError) as err:
+                braid.word_strands(word)
+            assert str(err.value) == "braid letter 120001 is over the limit of 120000"
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (braid.full_twist_word, (1, 347), "a full twist on 347 strands would have 120062"),
+            (twistfam.twisted_word, (TWIST_SPECS[1], (20_000,)), "twisted word would have 120002"),
+            (torus.torus_pd, (3, 60_001), "T(3,60001) braid word would have 120002"),
+        ],
+    )
+    def test_builders_share_the_letter_limit(self, build, args, message):
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert str(err.value) == message + " letters, more than the limit of 120000"
 
     def test_invert_word(self):
         assert braid.invert_word([1, -2, 3]) == [-3, 2, -1]

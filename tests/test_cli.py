@@ -150,6 +150,11 @@ class TestTorusCheck:
         rc, out = run_cli(capsys, "torus-check", "--max-pq", "6")
         assert (rc, out) == (0, "OK 0 mismatches\n")
 
+    def test_mismatch_is_printed_and_is_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("knotsig.cli.torus_signature", lambda p, q: 0)
+        rc, out = run_cli(capsys, "torus-check", "--max-pq", "6")
+        assert (rc, out) == (1, "MISMATCH p=2 q=3 closed=0 gl=-2 seifert=-2\n1 mismatches\n")
+
 
 class TestDiagramCommands:
     TREFOIL = "X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)"

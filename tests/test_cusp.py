@@ -111,6 +111,22 @@ class TestNaturalSlope:
         with pytest.raises(ValueError):
             natural_slope(CuspShape(longitude, meridian))
 
+    @pytest.mark.parametrize(
+        "longitude, meridian, slope",
+        [
+            # |meridian|^2 overflows, but the slope is a float
+            (1.0, complex(1e200, 1e200), 5e-201),
+            (1e300, complex(1e200, 1e200), 5e99),
+            # |meridian| itself overflows
+            (1.0, complex(1.7e308, 1.7e308), 0.5 / 1.7e308),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    def test_overflowing_modulus_still_gives_the_slope(self, longitude, meridian, slope):
+        assert natural_slope(CuspShape(longitude, meridian)) == pytest.approx(
+            slope, rel=1e-12, abs=0
+        )
+
     @given(
         st.floats(0.5, 30.0),
         st.floats(-3.0, 3.0),

@@ -202,6 +202,16 @@ CASES = {
     ),
     "from_braid_word": (DiagramCode.from_braid_word, st.tuples(st.lists(huge_or_not, max_size=6))),
     "full_twist_word": (braid.full_twist_word, st.tuples(huge_or_not, huge_or_not)),
+    "word_permutation": (braid.word_permutation, st.tuples(st.lists(huge_or_not, max_size=6))),
+    "closure_is_knot": (braid.closure_is_knot, st.tuples(st.lists(huge_or_not, max_size=6))),
+    "trace_closure_tuples": (
+        braid.trace_closure_tuples,
+        st.tuples(st.lists(huge_or_not, max_size=6)),
+    ),
+    "collins_seifert_matrix": (
+        braid.collins_seifert_matrix,
+        st.tuples(st.lists(huge_or_not, max_size=6)),
+    ),
     "predicted_signature": (
         predicted_center,
         st.tuples(st.tuples(huge_or_not), st.tuples(huge_or_not)),
@@ -278,6 +288,10 @@ def test_returns_or_raises_value_error_within_budget(name, data):
         (cusp.slope_length, (GEOM.cusp, 2, math.nan)),
         (cusp.KnotGeom, (GEOM.cusp, 3, 1, 2.0)),
         (cusp.KnotGeom, (GEOM.cusp, 3, 1, "2")),
+        (braid.word_permutation, ([10**9],)),
+        (braid.closure_is_knot, ([10**9],)),
+        (braid.trace_closure_tuples, ([10**9],)),
+        (braid.collins_seifert_matrix, ([10**9],)),
     ],
 )
 def test_reported_inputs_raise_value_error(fn, args):
