@@ -30,10 +30,9 @@ from .cusp import (
     CuspShape,
     GeometryWarning,
     KnotGeom,
+    _inj_cubed,
     _require_finite_number,
-    c1_statistic,
     natural_slope,
-    normalized_signature,
     parse_complex,
 )
 from .diagram import DiagramCode, pd_text
@@ -149,16 +148,17 @@ def _parse_row(name, crossings, sigma, volume, inj, re, im, longitude, geodesics
         )
         meridian = meridian.conjugate()
     pd = (pd or "").strip()
+    # positional, in field order: the first bad field raises first
     return CensusRow(
-        name=name,
-        crossings=int(crossings),
-        sigma=int(sigma),
-        volume=float(volume),
-        inj=float(inj),
-        meridian=meridian,
-        longitude=float(longitude),
-        geodesics=parse_geodesics(geodesics or ""),
-        pd=DiagramCode.parse(pd) if pd else None,
+        name,
+        int(crossings),
+        int(sigma),
+        float(volume),
+        float(inj),
+        meridian,
+        float(longitude),
+        parse_geodesics(geodesics or ""),
+        DiagramCode.parse(pd) if pd else None,
     )
 
 
@@ -281,7 +281,8 @@ class StatsReport(Record):
 def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
     """Fold derived rows into a StatsReport; derive() routes through here,
     so re-aggregating a report's rows reproduces the report. A non-finite
-    envelope constant is a ValueError."""
+    envelope constant is a ValueError, and statistics that leave the float
+    range are a CensusFormatError."""
     # imported here, its only reader, so that start-up does not load it
     import statistics
 
@@ -290,19 +291,24 @@ def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
     by_crossing = {}
     for d in derived:
         by_crossing.setdefault(d.row.crossings, []).append(d.c1)
-    c1_by_crossing = tuple(
-        (c, max(vals), statistics.fmean(vals)) for c, vals in sorted(by_crossing.items())
-    )
     try:
-        correlation = statistics.correlation(
-            [float(d.row.sigma) for d in derived], [d.slope for d in derived]
+        c1_by_crossing = tuple(
+            (c, max(vals), statistics.fmean(vals)) for c, vals in sorted(by_crossing.items())
         )
-    except statistics.StatisticsError:
-        correlation = None
-    bins = {}
-    for d in derived:
-        lo = round(int(d.c1 / _HIST_BIN) * _HIST_BIN, 2)
-        bins[lo] = bins.get(lo, 0) + 1
+        try:
+            correlation = statistics.correlation(
+                [float(d.row.sigma) for d in derived], [d.slope for d in derived]
+            )
+        except statistics.StatisticsError:
+            correlation = None
+        bins = {}
+        for d in derived:
+            lo = round(int(d.c1 / _HIST_BIN) * _HIST_BIN, 2)
+            bins[lo] = bins.get(lo, 0) + 1
+    except (OverflowError, ValueError) as exc:
+        # columns near the float limit: fsum overflows or meets inf - inf,
+        # or a c1 past 2% of the limit overflows its histogram bin
+        raise CensusFormatError("census statistics leave the float range: %s" % exc) from exc
     c1_hist = tuple(sorted(bins.items()))
     if derived:
         inside = sum(
@@ -325,18 +331,17 @@ def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
 
 
 def _derive_row(row):
+    """The derived columns of one row: the slope and sqrt(volume) are worked
+    out once, with the float expressions of `natural_slope`,
+    `c1_statistic` and `normalized_signature`, so each column equals
+    theirs bit for bit and the first error raised is theirs."""
     g = row.geom
     try:
         slope = natural_slope(g.cusp)
         gap = 2 * row.sigma - slope
-        return DerivedRow(
-            row=row,
-            slope=slope,
-            gap=gap,
-            c1=c1_statistic(g),
-            sigma_hat=normalized_signature(g),
-            gap_normalized=gap / math.sqrt(row.volume),
-        )
+        c1 = _require_finite_number(abs(gap) * _inj_cubed(g) / row.volume, "c1 statistic")
+        root = math.sqrt(row.volume)
+        return DerivedRow(row, slope, gap, c1, row.sigma / root, gap / root)
     except ValueError as exc:
         raise CensusFormatError("row %s: %s" % (row.name, exc)) from exc
 
@@ -374,27 +379,7 @@ def emit(report, out_dir):
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COLUMNS + _DERIVED_COLUMNS)
-        for d in report.rows:
-            r = d.row
-            writer.writerow(
-                [
-                    r.name,
-                    r.crossings,
-                    r.sigma,
-                    r.volume,
-                    r.inj,
-                    r.meridian.real,
-                    r.meridian.imag,
-                    r.longitude,
-                    format_geodesics(r.geodesics),
-                    pd_text(r.pd) if r.pd is not None else "",
-                    d.slope,
-                    d.gap,
-                    d.c1,
-                    d.sigma_hat,
-                    d.gap_normalized,
-                ]
-            )
+        writer.writerows(map(_csv_fields, report.rows))
     payload = {
         "schema_version": 1,
         "c1_hist": [[lo, count] for lo, count in report.c1_hist],
@@ -403,6 +388,28 @@ def emit(report, out_dir):
     }
     json_path.write_text(_plots_json(payload), encoding="utf-8")
     return csv_path, json_path
+
+
+def _csv_fields(d):
+    """One derived row's fields, in `_COLUMNS + _DERIVED_COLUMNS` order."""
+    r = d.row
+    return (
+        r.name,
+        r.crossings,
+        r.sigma,
+        r.volume,
+        r.inj,
+        r.meridian.real,
+        r.meridian.imag,
+        r.longitude,
+        format_geodesics(r.geodesics),
+        pd_text(r.pd) if r.pd is not None else "",
+        d.slope,
+        d.gap,
+        d.c1,
+        d.sigma_hat,
+        d.gap_normalized,
+    )
 
 
 def _plots_json(payload):

@@ -7,11 +7,13 @@ tests use 1e-3 because published values carry 4-5 digits.
 """
 
 import math
+import sys
 import warnings
 
 from ._record import Record
 
 _TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 # fillings with |p| above this bound are never exceptional; quoted from
 # the surgery literature, exposed as data rather than recomputed
@@ -238,6 +240,9 @@ def _inj_cubed(g):
         cube = g.inj**3
     except OverflowError:
         cube = math.inf
+    if 0 < cube <= _FLOAT_MAX:
+        return cube
+    # the message is formatted only for a cube that the check may refuse
     return _require_positive(cube, "injectivity radius %r cubed" % g.inj)
 
 

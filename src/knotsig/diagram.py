@@ -101,20 +101,20 @@ class DiagramCode(Record):
 
     @classmethod
     def from_tuples(cls, tuples):
-        """The code of `tuples` with their labels renamed, in order, to
-        1..2n, unless the least is 1 and the greatest 2n. Label ends are
-        counted before any renaming, so that an error names them as given."""
+        """The code of `tuples` with positive integer labels renamed, in
+        order, to 1..2n, unless the least is 1 and the greatest 2n. Any
+        other labels (strings, floats, integers below 1) are kept, so they
+        raise as in `DiagramCode(tuples)`. Label ends are counted before
+        any renaming, so that an error names them as given."""
         tuples = [tuple(t) for t in tuples]
         labels = list(chain.from_iterable(tuples))
-        try:
-            rename = labels and (min(labels) != 1 or max(labels) != 2 * len(tuples))
-        except TypeError:
-            raise _label_error(tuples) from None
-        if rename:
-            error = _label_error(tuples)
-            if isinstance(error, ArcMultiplicityError):
-                raise error
-            tuples = relabel_tuples(tuples)
+        if labels and all(issubclass(t, int) for t in set(map(type, labels))):
+            least = min(labels)
+            if least >= 1 and (least != 1 or max(labels) != 2 * len(tuples)):
+                error = _label_error(tuples)
+                if isinstance(error, ArcMultiplicityError):
+                    raise error
+                tuples = relabel_tuples(tuples)
         return cls(tuples)
 
     @classmethod
@@ -160,17 +160,22 @@ def parse_pd(text):
             "diagram code has %d crossings, more than the limit of %d"
             % (count, MAX_PD_CROSSINGS)
         )
-    tuples = []
+    labels = []
     for a, b, c, d, bad in _TOKEN.findall(text):
         if bad:
             # the residue left by the terms starts at the first such character
             residue = _TERM.sub(" ", text).split()
             raise PDSyntaxError("unrecognized input near %r" % residue[0])
-        tuples.append((int(a), int(b), int(c), int(d)))
-    if not tuples:
+        labels += (int(a), int(b), int(c), int(d))
+    if not labels:
         raise EmptyPDError("empty diagram code")
-    if min(map(min, tuples)) < 1:
+    least = min(labels)
+    if least < 1:
         raise PDSyntaxError("arc labels must be positive integers")
+    tuples = list(zip(*[iter(labels)] * 4))
+    # labels 1..2n are kept as read; only other codes are renamed
+    if least == 1 and max(labels) == 2 * len(tuples):
+        return DiagramCode(tuples)
     return DiagramCode.from_tuples(tuples)
 
 

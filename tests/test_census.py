@@ -16,7 +16,12 @@ from hypothesis import example, given, strategies as st
 from knotsig import census, diagram
 from knotsig.census import CensusFormatError, CensusRow
 from knotsig.cli import main
-from knotsig.cusp import GeometryWarning
+from knotsig.cusp import (
+    GeometryWarning,
+    c1_statistic,
+    natural_slope,
+    normalized_signature,
+)
 from knotsig.diagram import gl_signature
 
 from oracles import ingest_reference
@@ -331,6 +336,71 @@ class TestDerive:
         for row in census.ingest(SAMPLE):
             if row.pd is not None:
                 assert gl_signature(row.pd) == row.sigma
+
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    @pytest.mark.parametrize(
+        "inj, count, why",
+        [
+            # c1 about 4.3e307: finite, but c1 / 0.02 is not
+            (3e102, 1, "cannot convert float infinity to integer"),
+            # c1 about 1.6e306 each: their sum in fmean is not finite
+            (1e102, 200, "intermediate overflow in fsum"),
+        ],
+    )
+    def test_statistics_past_the_float_range_raise(self, inj, count, why):
+        rows = [make_row("K%d" % i, inj=inj) for i in range(count)]
+        with pytest.raises(CensusFormatError) as err:
+            census.derive(rows)
+        assert str(err.value) == "census statistics leave the float range: " + why
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestDerivedColumns:
+    """Each derived column is the value of the public function it stands
+    for, bit for bit, and a row that one of them refuses raises its error."""
+
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    @given(
+        longitude=positive_floats,
+        re=finite_floats,
+        im=positive_floats,
+        volume=positive_floats,
+        inj=positive_floats,
+        half_sigma=st.one_of(st.integers(-50, 50), st.integers(-(10**300), 10**300)),
+    )
+    @example(longitude=5.0, re=0.8, im=1.0, volume=4.0, inj=0.5, half_sigma=-1)
+    @example(longitude=5.0, re=-0.0, im=1.0, volume=4.0, inj=0.5, half_sigma=0)
+    # inj**3 underflows, then overflows
+    @example(longitude=5.0, re=0.8, im=1.0, volume=4.0, inj=1e-110, half_sigma=-1)
+    @example(longitude=5.0, re=0.8, im=1.0, volume=4.0, inj=1e103, half_sigma=-1)
+    # c1 past the floats; |meridian|^2 underflows; sigma / sqrt(volume) and
+    # gap / sqrt(volume) overflow to inf, which no check refuses
+    @example(longitude=5.0, re=0.8, im=1.0, volume=1e-300, inj=1e100, half_sigma=-1)
+    @example(longitude=5.0, re=1e-170, im=1e-170, volume=4.0, inj=0.5, half_sigma=-1)
+    @example(longitude=5.0, re=0.8, im=1.0, volume=1e-300, inj=1e-65, half_sigma=10**200)
+    def test_columns_equal_the_public_functions(self, longitude, re, im, volume, inj, half_sigma):
+        sigma = 2 * half_sigma
+        row = make_row(
+            sigma=sigma, volume=volume, meridian=complex(re, im), inj=inj, longitude=longitude
+        )
+        g = row.geom
+        try:
+            slope = natural_slope(g.cusp)
+            gap = 2 * sigma - slope
+            want = (slope, gap, c1_statistic(g), normalized_signature(g), gap / math.sqrt(volume))
+        except ValueError as exc:
+            with pytest.raises(CensusFormatError) as err:
+                census._derive_row(row)
+            assert str(err.value) == "row K: %s" % exc
+            return
+        d = census._derive_row(row)
+        got = (d.slope, d.gap, d.c1, d.sigma_hat, d.gap_normalized)
+        assert got == want
+        # repr tells -0.0 from 0.0, which == does not
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 def statistics_mean(report):

@@ -244,6 +244,37 @@ class TestLabels:
         tuples = torus_pd(5, 41).crossings
         assert DiagramCode.from_tuples(tuples).crossings == tuples
 
+    def test_parse_pd_renames_only_through_from_tuples(self, monkeypatch):
+        def refuse(cls, tuples):
+            raise AssertionError("from_tuples called")
+
+        monkeypatch.setattr(DiagramCode, "from_tuples", classmethod(refuse))
+        assert parse_pd(TREFOIL_TEXT).crossings == tuple(self.LEFT_TREFOIL)
+        with pytest.raises(AssertionError):
+            parse_pd("X(2,5,3,6) X(4,7,5,2) X(6,3,7,4)")
+
+    def test_parse_pd_builds_the_code_from_tuples_builds(self):
+        for d in load_fixture_file(CORPUS).values():
+            for code in (d, mirror_diagram(d)):
+                for shift, scale in ((0, 1), (1, 1), (7, 1), (0, 3)):
+                    tuples = [tuple(scale * e + shift for e in t) for t in code.crossings]
+                    got = parse_pd(" ".join("X(%d,%d,%d,%d)" % t for t in tuples))
+                    want = DiagramCode.from_tuples(tuples)
+                    assert got == want and got.crossings == code.crossings
+
+    @pytest.mark.parametrize(
+        "rename",
+        [lambda e: "abcdef"[e - 1], lambda e: e + 0.5, lambda e: e - 1, lambda e: e - 4],
+        ids=["strings", "floats", "0-based", "negative"],
+    )
+    def test_labels_other_than_positive_integers_are_kept(self, rename):
+        tuples = [tuple(map(rename, t)) for t in self.LEFT_TREFOIL]
+        with pytest.raises(PDSyntaxError) as direct:
+            DiagramCode(tuples)
+        with pytest.raises(PDSyntaxError) as err:
+            DiagramCode.from_tuples(tuples)
+        assert str(err.value) == str(direct.value) == "arc labels are not exactly 1..6"
+
     def test_other_labels_are_renamed_in_order(self):
         scaled = [tuple(10 * e for e in t) for t in self.LEFT_TREFOIL]
         assert DiagramCode.from_tuples(scaled).crossings == tuple(self.LEFT_TREFOIL)
