@@ -9,7 +9,11 @@ The input schema is flat and hand-editable:
 where geodesics is a semicolon-separated list of "re+imi:parity[:radius]"
 entries and pd is an optional quoted diagram code. Emitted files append
 derived columns to the same schema, so a derived CSV ingests again and
-re-emits byte for byte.
+re-emits byte for byte. derived.csv holds one line per row, LF-ended,
+with every number as `str()` writes it. A text field is wrapped in
+quotes, its own quotes doubled, exactly when it holds a comma, a quote,
+CR or LF; a PD code always holds commas, so it always is. The bytes are
+the same on every supported Python.
 
 Soft geometry warnings raised while rows are parsed are captured once per
 file and re-issued after it as `GeometryWarning`s, in row order, each
@@ -295,12 +299,17 @@ def aggregate(derived, envelope_b=2.0, envelope_c=2.0):
         c1_by_crossing = tuple(
             (c, max(vals), statistics.fmean(vals)) for c, vals in sorted(by_crossing.items())
         )
-        try:
-            correlation = statistics.correlation(
-                [float(d.row.sigma) for d in derived], [d.slope for d in derived]
-            )
-        except statistics.StatisticsError:
-            correlation = None
+        sigmas = [float(d.row.sigma) for d in derived]
+        # equal signatures have no correlation; statistics.correlation
+        # says so only while the slopes' spread stays within the floats
+        correlation = None
+        if len(set(sigmas)) > 1:
+            try:
+                correlation = statistics.correlation(sigmas, [d.slope for d in derived])
+            except statistics.StatisticsError:
+                pass
+            else:
+                _require_finite_number(correlation, "correlation")
         bins = {}
         for d in derived:
             lo = round(int(d.c1 / _HIST_BIN) * _HIST_BIN, 2)
@@ -334,14 +343,22 @@ def _derive_row(row):
     """The derived columns of one row: the slope and sqrt(volume) are worked
     out once, with the float expressions of `natural_slope`,
     `c1_statistic` and `normalized_signature`, so each column equals
-    theirs bit for bit and the first error raised is theirs."""
+    theirs bit for bit and the first error raised is theirs. A column
+    past the float range, the last two included, is refused."""
     g = row.geom
     try:
         slope = natural_slope(g.cusp)
         gap = 2 * row.sigma - slope
         c1 = _require_finite_number(abs(gap) * _inj_cubed(g) / row.volume, "c1 statistic")
         root = math.sqrt(row.volume)
-        return DerivedRow(row, slope, gap, c1, row.sigma / root, gap / root)
+        return DerivedRow(
+            row,
+            slope,
+            gap,
+            c1,
+            _require_finite_number(row.sigma / root, "normalized signature"),
+            _require_finite_number(gap / root, "residual over sqrt(volume)"),
+        )
     except ValueError as exc:
         raise CensusFormatError("row %s: %s" % (row.name, exc)) from exc
 
@@ -369,17 +386,59 @@ def sign_agreement(rows):
     return agree / len(selected)
 
 
+# one derived row, `_COLUMNS + _DERIVED_COLUMNS`: every number as str()
+# writes it, which is what csv.writer writes for an int or a float
+_ROW = ",".join(["%s"] * (len(_COLUMNS) + len(_DERIVED_COLUMNS))) + "\n"
+
+
+def _csv_text(text):
+    """A text field as derived.csv holds it: wrapped in quotes, its own
+    quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def emit(report, out_dir):
     """Write derived.csv and plots.json under out_dir; returns both paths.
-    Output is byte-identical across runs on equal reports."""
+    Output is byte-identical across runs on equal reports.
+
+    derived.csv is built in one pass, one line per row from one format,
+    and written with one call: numbers as str() writes them, LF line ends.
+    A text field (name, geodesics) is wrapped in quotes, its own quotes
+    doubled, exactly when it holds a comma, a quote, CR or LF, and a PD
+    code, whose text always holds commas and never a quote, always is.
+    So the bytes are the same on every supported Python, and the file
+    reads back in: csv.writer on 3.10-3.12 wrote a field whose only
+    special character is a CR bare, which ends the row when read."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "derived.csv"
     json_path = out_dir / "plots.json"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COLUMNS + _DERIVED_COLUMNS)
-        writer.writerows(map(_csv_fields, report.rows))
+    lines = [",".join(_COLUMNS + _DERIVED_COLUMNS) + "\n"]
+    for d in report.rows:
+        r = d.row
+        lines.append(
+            _ROW
+            % (
+                _csv_text(r.name),
+                r.crossings,
+                r.sigma,
+                r.volume,
+                r.inj,
+                r.meridian.real,
+                r.meridian.imag,
+                r.longitude,
+                _csv_text(format_geodesics(r.geodesics)),
+                '"%s"' % pd_text(r.pd) if r.pd is not None and r.pd.crossings else "",
+                d.slope,
+                d.gap,
+                d.c1,
+                d.sigma_hat,
+                d.gap_normalized,
+            )
+        )
+    csv_path.write_text("".join(lines), encoding="utf-8", newline="")
     payload = {
         "schema_version": 1,
         "c1_hist": [[lo, count] for lo, count in report.c1_hist],
@@ -388,28 +447,6 @@ def emit(report, out_dir):
     }
     json_path.write_text(_plots_json(payload), encoding="utf-8")
     return csv_path, json_path
-
-
-def _csv_fields(d):
-    """One derived row's fields, in `_COLUMNS + _DERIVED_COLUMNS` order."""
-    r = d.row
-    return (
-        r.name,
-        r.crossings,
-        r.sigma,
-        r.volume,
-        r.inj,
-        r.meridian.real,
-        r.meridian.imag,
-        r.longitude,
-        format_geodesics(r.geodesics),
-        pd_text(r.pd) if r.pd is not None else "",
-        d.slope,
-        d.gap,
-        d.c1,
-        d.sigma_hat,
-        d.gap_normalized,
-    )
 
 
 def _plots_json(payload):

@@ -17,9 +17,11 @@ A code is walked and validated once, by `_Geometry`, when a `DiagramCode`
 is built; the geometry stays on the code and both pipelines read it from
 there. The geometry works on flat integer lists indexed by incidence
 i = 4c + s, slot s of crossing c. One pass over the labels checks them
-and pairs the two ends of every arc (`other[i]`); the walk along the
-strand is then the cycle of i -> other[i ^ 2] and the faces are the cycles
-of i -> other[(i & ~3) | ((i + 1) & 3)], kept as the face of every corner
+and pairs the two ends of every arc (`other[i]`); `parse_pd`, which has
+already read the labels as integers in 1..2n, hands its flat list over
+and only the pairing runs. The walk along the strand is then the cycle
+of i -> other[i ^ 2] and the faces are the cycles of
+i -> other[(i & ~3) | ((i + 1) & 3)], kept as the face of every corner
 and a face count. The Seifert circle of every arc is worked out on first
 read, since only the Seifert side reads it. Each Vogel move builds one new
 geometry: it pairs again only the ends of the six arcs it touches, takes
@@ -86,7 +88,9 @@ class DiagramCode(Record):
     __slots__ = _fields + ("_geom",)
 
     def __init__(self, crossings):
-        geom = _Geometry(tuple(map(tuple, crossings)))
+        self._adopt(_Geometry(tuple(map(tuple, crossings))))
+
+    def _adopt(self, geom):
         object.__setattr__(self, "crossings", geom.tuples)
         object.__setattr__(self, "signs", geom.signs)
         object.__setattr__(self, "_geom", geom)
@@ -116,6 +120,15 @@ class DiagramCode(Record):
                     raise error
                 tuples = relabel_tuples(tuples)
         return cls(tuples)
+
+    @classmethod
+    def _read(cls, tuples, labels):
+        """The code of `tuples`, whose flat labels `labels` are integers
+        already known to lie in 1..2n: its geometry pairs them without
+        scanning them again. `parse_pd` builds codes so."""
+        code = cls.__new__(cls)
+        code._adopt(_Geometry(tuples, labels=labels))
+        return code
 
     @classmethod
     def from_braid_word(cls, word):
@@ -172,31 +185,36 @@ def parse_pd(text):
     least = min(labels)
     if least < 1:
         raise PDSyntaxError("arc labels must be positive integers")
-    tuples = list(zip(*[iter(labels)] * 4))
-    # labels 1..2n are kept as read; only other codes are renamed
+    tuples = tuple(zip(*[iter(labels)] * 4))
+    # labels 1..2n are kept as read, and the geometry pairs them without
+    # scanning them again; only other codes are renamed
     if least == 1 and max(labels) == 2 * len(tuples):
-        return DiagramCode(tuples)
+        return DiagramCode._read(tuples, labels)
     return DiagramCode.from_tuples(tuples)
 
 
 def pd_text(d):
-    return " ".join("X(%d,%d,%d,%d)" % t for t in d.crossings)
+    return ("X(%d,%d,%d,%d) " * d.n)[:-1] % tuple(d._geom.labels)
 
 
-def _arc_ends(tuples, labels):
-    """other[i] for every incidence i = 4c + s: the incidence at the other
-    end of the arc at slot s of crossing c. The same pass over the labels
-    checks that they are exactly 1..2n, each at two ends; any fault is
-    reported as `_label_error` finds it."""
-    top = 2 * len(tuples)
+def _check_label_range(tuples, labels):
+    """Raise `_label_error` unless every crossing has four slots and every
+    label is an integer in 1..2n."""
     if tuples and (
         set(map(len, tuples)) != {4}
         or not all(issubclass(t, int) for t in set(map(type, labels)))
         or min(labels) < 1
-        or max(labels) > top
+        or max(labels) > 2 * len(tuples)
     ):
         raise _label_error(tuples)
-    first = [-1] * (top + 1)
+
+
+def _arc_ends(tuples, labels):
+    """other[i] for every incidence i = 4c + s: the incidence at the other
+    end of the arc at slot s of crossing c, for integer labels in 1..2n.
+    The same pass checks that each label has exactly two ends; a fault is
+    reported as `_label_error` finds it."""
+    first = [-1] * (2 * len(tuples) + 1)
     other = [-1] * len(labels)
     for i, e in enumerate(labels):
         j = first[e]
@@ -254,16 +272,22 @@ class _Geometry:
       only the Seifert side reads it. Circles are numbered in order of
       their least label; `_circle` walks one.
 
-    Built once per code, by `DiagramCode`, and once per Vogel move, which
-    passes `other`: its parent's pairs, with the ends it touched checked
-    and paired again, so the other labels keep the check of the build
-    they came from."""
+    Built once per code, by `DiagramCode`; `parse_pd` passes `labels`,
+    the flat list it has read and found to be integers in 1..2n, so only
+    the pairing checks them. Built once per Vogel move, which passes
+    `other`: its parent's pairs, with the ends it touched checked and
+    paired again, so the other labels keep the check of the build they
+    came from."""
 
-    def __init__(self, tuples, other=None):
+    def __init__(self, tuples, other=None, labels=None):
         self.n = len(tuples)
         self.tuples = tuple(tuples)
-        self.labels = list(chain.from_iterable(tuples))
-        self.other = _arc_ends(tuples, self.labels) if other is None else other
+        if labels is None:
+            labels = list(chain.from_iterable(tuples))
+            if other is None:
+                _check_label_range(tuples, labels)
+        self.labels = labels
+        self.other = _arc_ends(tuples, labels) if other is None else other
         if self.n == 0:
             self.signs = ()
             return

@@ -13,7 +13,8 @@ the package's former trace closure (label every edge, then merge and
 rename), Goeritz form (counters keyed by face) and braid Seifert matrix
 (dense, every loop against every loop of the next generator) are kept as
 references, and so is the former census ingest (one dict per row from
-`csv.DictReader`, one warnings capture per row).
+`csv.DictReader`, one warnings capture per row) and emit (`csv.writer`,
+one row at a time).
 """
 
 import contextlib
@@ -30,7 +31,15 @@ import numpy as np
 import sympy
 
 from knotsig.braid import closure_is_knot, word_strands
-from knotsig.census import _COLUMNS, CensusFormatError, CensusRow, parse_geodesics
+from knotsig.census import (
+    _COLUMNS,
+    _DERIVED_COLUMNS,
+    CensusFormatError,
+    CensusRow,
+    _plots_json,
+    format_geodesics,
+    parse_geodesics,
+)
 from knotsig.cusp import GeometryWarning
 from knotsig.diagram import (
     ArcMultiplicityError,
@@ -768,3 +777,47 @@ def ingest_reference(source):
                 )
             rows.append(row)
     return rows
+
+
+# census.emit as it was when csv.writer wrote derived.csv. Its quoting is
+# Python's: on 3.10-3.12 a field holding a CR is written unquoted
+def _csv_fields_reference(d):
+    r = d.row
+    pd = " ".join("X(%d,%d,%d,%d)" % t for t in r.pd.crossings) if r.pd is not None else ""
+    return (
+        r.name,
+        r.crossings,
+        r.sigma,
+        r.volume,
+        r.inj,
+        r.meridian.real,
+        r.meridian.imag,
+        r.longitude,
+        format_geodesics(r.geodesics),
+        pd,
+        d.slope,
+        d.gap,
+        d.c1,
+        d.sigma_hat,
+        d.gap_normalized,
+    )
+
+
+def emit_reference(report, out_dir):
+    """Write derived.csv and plots.json under out_dir; returns both paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "derived.csv"
+    json_path = out_dir / "plots.json"
+    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_COLUMNS + _DERIVED_COLUMNS)
+        writer.writerows(map(_csv_fields_reference, report.rows))
+    payload = {
+        "schema_version": 1,
+        "c1_hist": [[lo, count] for lo, count in report.c1_hist],
+        "slope_vs_sig": [[d.slope, d.row.sigma] for d in report.rows],
+        "c1_by_crossing": [[c, mx, mean] for c, mx, mean in report.c1_by_crossing],
+    }
+    json_path.write_text(_plots_json(payload), encoding="utf-8")
+    return csv_path, json_path

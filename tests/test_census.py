@@ -14,17 +14,19 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from knotsig import census, diagram
-from knotsig.census import CensusFormatError, CensusRow
+from knotsig.census import CensusFormatError, CensusRow, DerivedRow, StatsReport
 from knotsig.cli import main
 from knotsig.cusp import (
     GeometryWarning,
+    _require_finite_number,
     c1_statistic,
     natural_slope,
     normalized_signature,
 )
-from knotsig.diagram import gl_signature
+from knotsig.diagram import DiagramCode, gl_signature
+from knotsig.geodesic import GeodesicRecord
 
-from oracles import ingest_reference
+from oracles import emit_reference, ingest_reference
 
 HEADER = (
     "name,crossings,signature,volume,inj_radius,"
@@ -353,6 +355,39 @@ class TestDerive:
             census.derive(rows)
         assert str(err.value) == "census statistics leave the float range: " + why
 
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    def test_equal_signatures_have_no_correlation_near_the_float_limit(self):
+        # the slopes' squared spread is inf, and inf * 0 met the zero check as nan
+        rows = [
+            make_row("K%d" % i, sigma=0, inj=0.01, longitude=longitude)
+            for i, longitude in enumerate((3.3e307, 6.7e307, 1e308))
+        ]
+        assert census.derive(rows).correlation is None
+
+    def test_correlation_past_the_float_range_raises(self):
+        # both spreads and their cross sum are inf, so the quotient is nan
+        pairs = ((2 * 10**200, 1e200), (-2 * 10**200, -1e200), (0, 0.0))
+        derived = [
+            DerivedRow(make_row("K%d" % i, sigma=sigma), slope, 0.0, 0.0, 0.0, 0.0)
+            for i, (sigma, slope) in enumerate(pairs)
+        ]
+        with pytest.raises(CensusFormatError) as err:
+            census.aggregate(derived)
+        assert str(err.value) == (
+            "census statistics leave the float range: correlation must be finite, got nan"
+        )
+
+    @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
+    def test_column_past_the_float_range_names_the_row(self, tmp_path, capsys):
+        # c1 is 4e305, but sigma / sqrt(volume) and gap / sqrt(volume) are not floats
+        path = write_csv(tmp_path, "B,5,%d,1e-300,1e-65,0.8,1.0,5.0,," % (2 * 10**200))
+        out = tmp_path / "out"
+        assert main(["census-stats", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row B: normalized signature must be finite, got inf\n"
+        assert not out.exists()
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -360,7 +395,8 @@ positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
 
 class TestDerivedColumns:
     """Each derived column is the value of the public function it stands
-    for, bit for bit, and a row that one of them refuses raises its error."""
+    for, bit for bit, and a row that one of them refuses, or whose column
+    leaves the float range, raises its error."""
 
     @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
     @given(
@@ -377,7 +413,7 @@ class TestDerivedColumns:
     @example(longitude=5.0, re=0.8, im=1.0, volume=4.0, inj=1e-110, half_sigma=-1)
     @example(longitude=5.0, re=0.8, im=1.0, volume=4.0, inj=1e103, half_sigma=-1)
     # c1 past the floats; |meridian|^2 underflows; sigma / sqrt(volume) and
-    # gap / sqrt(volume) overflow to inf, which no check refuses
+    # gap / sqrt(volume) overflow to inf, which the row refuses
     @example(longitude=5.0, re=0.8, im=1.0, volume=1e-300, inj=1e100, half_sigma=-1)
     @example(longitude=5.0, re=1e-170, im=1e-170, volume=4.0, inj=0.5, half_sigma=-1)
     @example(longitude=5.0, re=0.8, im=1.0, volume=1e-300, inj=1e-65, half_sigma=10**200)
@@ -390,7 +426,13 @@ class TestDerivedColumns:
         try:
             slope = natural_slope(g.cusp)
             gap = 2 * sigma - slope
-            want = (slope, gap, c1_statistic(g), normalized_signature(g), gap / math.sqrt(volume))
+            want = (
+                slope,
+                gap,
+                c1_statistic(g),
+                _require_finite_number(normalized_signature(g), "normalized signature"),
+                _require_finite_number(gap / math.sqrt(volume), "residual over sqrt(volume)"),
+            )
         except ValueError as exc:
             with pytest.raises(CensusFormatError) as err:
                 census._derive_row(row)
@@ -435,6 +477,49 @@ numbers = st.one_of(
 )
 # lists of rows, either of them possibly empty, as emit's payload holds
 number_rows = st.lists(st.lists(numbers, max_size=4), max_size=6)
+
+# names and geodesic parities for emit: commas, quotes, LF, spaces and
+# non-ASCII text, but no CR, which csv.writer on Python 3.10-3.12 writes
+# unquoted
+emit_text = st.text(
+    st.one_of(st.sampled_from(',"\n \t;:é'), st.characters(exclude_characters="\r")),
+    max_size=8,
+)
+TREFOIL = DiagramCode.parse("X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)")
+
+
+def unchecked(cls, **fields):
+    """A value of `cls` holding `fields` as given, past its validation."""
+    value = cls.__new__(cls)
+    value.__setstate__(fields)
+    return value
+
+
+@st.composite
+def derived_rows(draw):
+    """A derived row as emit reads it, any number in any numeric column."""
+    geodesics = tuple(
+        unchecked(
+            GeodesicRecord,
+            complex_length=complex(draw(st.floats()), draw(st.floats())),
+            linking_parity=draw(emit_text),
+            tube_radius=draw(st.none() | numbers),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    row = unchecked(
+        CensusRow,
+        name=draw(emit_text),
+        crossings=draw(numbers),
+        sigma=draw(numbers),
+        volume=draw(numbers),
+        inj=draw(numbers),
+        meridian=complex(draw(st.floats()), draw(st.floats())),
+        longitude=draw(numbers),
+        geodesics=geodesics,
+        pd=draw(st.sampled_from((None, TREFOIL, DiagramCode([])))),
+    )
+    return DerivedRow(row, *[draw(numbers) for _ in range(5)])
 
 
 class TestEmit:
@@ -504,3 +589,31 @@ class TestEmit:
     def test_uses_lf_line_endings(self, tmp_path):
         c, _ = census.emit(census.derive(census.ingest(SAMPLE)), tmp_path)
         assert b"\r" not in c.read_bytes()
+
+    @given(rows=st.lists(derived_rows(), max_size=4))
+    @example(rows=[])
+    def test_matches_the_csv_writer_emit(self, rows):
+        report = StatsReport(tuple(rows), 2.0, 2.0, (), None, (), None)
+        with tempfile.TemporaryDirectory() as tmp:
+            got = census.emit(report, Path(tmp) / "got")
+            want = emit_reference(report, Path(tmp) / "want")
+            assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
+    def test_field_with_a_cr_reads_back(self, tmp_path, capsys):
+        # csv.writer on Python 3.10-3.12 quoted the first name for its comma,
+        # but wrote the second, whose only special character is a CR, bare,
+        # and that derived.csv did not read back. A parity's CR is stripped
+        path = write_csv(
+            tmp_path,
+            '"K\r,""x",5,-2,4.0,0.5,0.8,1.0,5.0,"0.2+3.1415i:\rodd",',
+            '"L\ry",5,-2,4.0,0.5,0.8,1.0,5.0,,',
+        )
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(["census-stats", str(path), "--out", str(one)]) == 0
+        assert main(["census-stats", str(one / "derived.csv"), "--out", str(two)]) == 0
+        capsys.readouterr()
+        lines = (one / "derived.csv").read_bytes().split(b"\n")
+        assert lines[1].startswith(b'"K\r,""x",5,') and b",0.2+3.1415i:odd," in lines[1]
+        assert lines[2].startswith(b'"L\ry",5,')
+        for name in ("derived.csv", "plots.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()

@@ -1,7 +1,8 @@
 """`census-stats` and `signature` through `cli.main`, in process, on random
 text: every call exits 0 or 1 within the totality budget, prints no
 traceback, and on exit 1 writes nothing, neither to stdout nor to the
-output directory."""
+output directory. A `derived.csv` that `census-stats` writes reads back
+in and is written again byte for byte."""
 
 import contextlib
 import csv
@@ -121,6 +122,8 @@ def assert_clean_exit(rc, out, err):
 @example(text=HEADER + "\nK,5,-2,4.0,0.5,0.8,-1.0,5.0,,\n")
 @example(text=HEADER + "\nK,5,-2,4.0,0.5,0.8,1.0,5.0,,\nK,5,-2,4.0\n")
 @example(text=HEADER + '\nK,5,-2,4.0,0.5,0.8,1.0,5.0,0.2+3.1415i:odd,"%s",x,y\n' % TREFOIL)
+# a name whose only special character is a CR
+@example(text=HEADER + '\n"K\rx",5,-2,4.0,0.5,0.8,1.0,5.0,,\n')
 def test_census_stats_exits_cleanly(text):
     with tempfile.TemporaryDirectory() as tmp:
         path, out_dir = Path(tmp) / "census.csv", Path(tmp) / "out"
@@ -129,8 +132,16 @@ def test_census_stats_exits_cleanly(text):
         assert_clean_exit(rc, out, err)
         if rc == 1:
             assert not out_dir.exists()
-        else:
-            assert sorted(p.name for p in out_dir.iterdir()) == ["derived.csv", "plots.json"]
+            return
+        files = sorted(p.name for p in out_dir.iterdir())
+        assert files == ["derived.csv", "plots.json"]
+        # the documented fixed point: the derived file reads back in and
+        # re-emits the same bytes
+        again = Path(tmp) / "again"
+        rc, out, err = run_main(["census-stats", str(out_dir / "derived.csv"), "--out", str(again)])
+        assert rc == 0, err
+        for name in files:
+            assert (again / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 @given(text=pd_like(), method=st.sampled_from(("gl", "seifert", "both")))
