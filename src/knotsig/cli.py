@@ -6,6 +6,7 @@ error, 2 usage error, 3 internal error (a `RuntimeError`, one stderr line).
 """
 
 import argparse
+import io
 import math
 import sys
 
@@ -27,10 +28,16 @@ from .torus import kappa, torus_pd, torus_signature
 from .twistfam import family_report, load_spec
 
 
+def _stdin():
+    """Standard input, read as an input file is: its text with a leading
+    byte-order mark (U+FEFF) dropped, as a stream named "<stdin>"."""
+    stream = io.StringIO(sys.stdin.read().removeprefix("\ufeff"))
+    stream.name = "<stdin>"
+    return stream
+
+
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8-sig") as fh:
+    with _stdin() if path == "-" else open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -68,12 +75,15 @@ def _cmd_bounds(args):
 
 def _cmd_signature(args):
     d = parse_pd(_read_text(args.path))
-    if args.method in ("gl", "both"):
-        value = gl_signature(d)
-        print(value if args.method == "gl" else "gl %d" % value)
-    if args.method in ("seifert", "both"):
-        value = seifert_signature(d)
-        print(value if args.method == "seifert" else "seifert %d" % value)
+    if args.method != "both":
+        print((gl_signature if args.method == "gl" else seifert_signature)(d))
+        return
+    gl, seifert = gl_signature(d), seifert_signature(d)
+    if gl != seifert:  # Goeritz = Seifert on every diagram: a program fault
+        raise RuntimeError(
+            "the Goeritz signature %d and the Seifert signature %d disagree" % (gl, seifert)
+        )
+    print("gl %d\nseifert %d" % (gl, seifert))
 
 
 def _cmd_kappa(args):
@@ -130,14 +140,14 @@ def _cmd_correct_slope(args):
 
 
 def _cmd_twist_verify(args):
-    spec, q_vectors = load_spec(sys.stdin if args.path == "-" else args.path)
+    spec, q_vectors = load_spec(_stdin() if args.path == "-" else args.path)
     for row in family_report(spec, q_vectors):
         q_text = ",".join(str(q) for q in row.q)
         print("%s %d %d %d" % (q_text, row.sigma, row.predicted, row.residual))
 
 
 def _cmd_census_stats(args):
-    rows = census.ingest(sys.stdin if args.path == "-" else args.path)
+    rows = census.ingest(_stdin() if args.path == "-" else args.path)
     report = census.derive(rows, args.envelope_b, args.envelope_c)
     agreement = census.sign_agreement(rows)
 

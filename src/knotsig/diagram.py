@@ -15,20 +15,18 @@ Conventions, fixed once for the whole package:
 
 A code is walked and validated once, by `_Geometry`, when a `DiagramCode`
 is built; the geometry stays on the code and both pipelines read it from
-there. The geometry works on flat integer lists indexed by incidence
-i = 4c + s, slot s of crossing c. One pass over the labels checks them
-and pairs the two ends of every arc (`other[i]`); `parse_pd`, which has
-already read the labels as integers in 1..2n, hands its flat list over
-and only the pairing runs. The walk along the strand is then the cycle
-of i -> other[i ^ 2] and the faces are the cycles of
+there. A geometry is built from one flat list of labels, indexed by
+incidence i = 4c + s, slot s of crossing c, and its pairing of the two
+ends of every arc (`other[i]`), which the caller has checked: a
+`DiagramCode` checks every label, `parse_pd` has checked the range of
+the labels it read, so only the pairing runs, and a Vogel move pairs
+again only the ends it touched. The walk along the strand is then the
+cycle of i -> other[i ^ 2] and the faces are the cycles of
 i -> other[(i & ~3) | ((i + 1) & 3)], kept as the face of every corner
 and a face count. The Seifert circle of every arc is worked out on first
-read, since only the Seifert side reads it. Each Vogel move builds one new
-geometry: it pairs again only the ends of the six arcs it touches, takes
-every other pair from its parent, and then walks the strand and numbers
-the faces in full. `braid_word` reads the circle order of the braided
-diagram off its seam, which steps from circle to circle across shared
-faces.
+read, since only the Seifert side reads it. `braid_word` reads the circle
+order of the braided diagram off its seam, which steps from circle to
+circle across shared faces.
 
 `checkerboard` colours the faces for itself, from the walk alone: the face
 left of the walk changes colour at every crossing, so the even and the odd
@@ -88,10 +86,21 @@ class DiagramCode(Record):
     __slots__ = _fields + ("_geom",)
 
     def __init__(self, crossings):
-        self._adopt(_Geometry(tuple(map(tuple, crossings))))
+        tuples = tuple(map(tuple, crossings))
+        labels = list(chain.from_iterable(tuples))
+        # four slots to every crossing, and integer labels in 1..2n
+        if tuples and (
+            set(map(len, tuples)) != {4}
+            or not all(issubclass(t, int) for t in set(map(type, labels)))
+            or min(labels) < 1
+            or max(labels) > 2 * len(tuples)
+        ):
+            raise _label_error(labels, len(tuples))
+        self._adopt(tuples, labels)
 
-    def _adopt(self, geom):
-        object.__setattr__(self, "crossings", geom.tuples)
+    def _adopt(self, tuples, labels):
+        geom = _Geometry(labels, _arc_ends(labels))
+        object.__setattr__(self, "crossings", tuples)
         object.__setattr__(self, "signs", geom.signs)
         object.__setattr__(self, "_geom", geom)
 
@@ -115,7 +124,7 @@ class DiagramCode(Record):
         if labels and all(issubclass(t, int) for t in set(map(type, labels))):
             least = min(labels)
             if least >= 1 and (least != 1 or max(labels) != 2 * len(tuples)):
-                error = _label_error(tuples)
+                error = _label_error(labels, len(tuples))
                 if isinstance(error, ArcMultiplicityError):
                     raise error
                 tuples = relabel_tuples(tuples)
@@ -127,7 +136,7 @@ class DiagramCode(Record):
         already known to lie in 1..2n: its geometry pairs them without
         scanning them again. `parse_pd` builds codes so."""
         code = cls.__new__(cls)
-        code._adopt(_Geometry(tuples, labels=labels))
+        code._adopt(tuples, labels)
         return code
 
     @classmethod
@@ -197,24 +206,12 @@ def pd_text(d):
     return ("X(%d,%d,%d,%d) " * d.n)[:-1] % tuple(d._geom.labels)
 
 
-def _check_label_range(tuples, labels):
-    """Raise `_label_error` unless every crossing has four slots and every
-    label is an integer in 1..2n."""
-    if tuples and (
-        set(map(len, tuples)) != {4}
-        or not all(issubclass(t, int) for t in set(map(type, labels)))
-        or min(labels) < 1
-        or max(labels) > 2 * len(tuples)
-    ):
-        raise _label_error(tuples)
-
-
-def _arc_ends(tuples, labels):
+def _arc_ends(labels):
     """other[i] for every incidence i = 4c + s: the incidence at the other
-    end of the arc at slot s of crossing c, for integer labels in 1..2n.
-    The same pass checks that each label has exactly two ends; a fault is
-    reported as `_label_error` finds it."""
-    first = [-1] * (2 * len(tuples) + 1)
+    end of the arc at slot s of crossing c, for the flat labels of n
+    crossings, integers in 1..2n. The same pass checks that each label has
+    exactly two ends; a fault is reported as `_label_error` finds it."""
+    first = [-1] * (len(labels) // 2 + 1)
     other = [-1] * len(labels)
     for i, e in enumerate(labels):
         j = first[e]
@@ -224,7 +221,7 @@ def _arc_ends(tuples, labels):
             other[i] = j
             other[j] = i
         else:
-            raise _label_error(tuples)
+            raise _label_error(labels, len(labels) // 4)
     # 4n ends on 2n labels, none with a third end: each has exactly two
     return other
 
@@ -236,25 +233,26 @@ def relabel_tuples(tuples):
     return [tuple(remap[e] for e in t) for t in tuples]
 
 
-def _label_error(tuples):
-    """The error for crossings whose labels are not exactly 1..2n, each at
-    two ends: every label without two ends, as given, or else the range.
-    Labels that cannot be counted or ordered are not integers."""
+def _label_error(labels, n):
+    """The error for the flat labels of n crossings, not exactly 1..2n each
+    at two ends: every label without two ends, as given, or else the
+    range. Labels that cannot be counted or ordered are not integers."""
     try:
-        counts = Counter(chain.from_iterable(tuples))
+        counts = Counter(labels)
         bad = sorted(e for e, k in counts.items() if k != 2)
     except TypeError:
         return PDSyntaxError("arc labels must be integers")
     if bad:
         return ArcMultiplicityError("arc labels without exactly two ends: %s" % bad)
-    return PDSyntaxError("arc labels are not exactly 1..%d" % (2 * len(tuples)))
+    return PDSyntaxError("arc labels are not exactly 1..%d" % (2 * n))
 
 
 class _Geometry:
     """What one walk along the strand of a code determines, on flat integer
     lists. Incidence i = 4c + s is slot s of crossing c: `labels[i]` is
     its arc label and `other[i]` the incidence at the other end of that
-    arc, both filled by one pass that also checks the labels.
+    arc. Both are given, and the caller has checked them: labels in
+    1..2n, each at exactly two ends.
 
     - The walk is the cycle of i -> other[i ^ 2] (arrive at a slot, leave
       by the opposite one) from other[2], the arc leaving crossing 0 along
@@ -272,22 +270,16 @@ class _Geometry:
       only the Seifert side reads it. Circles are numbered in order of
       their least label; `_circle` walks one.
 
-    Built once per code, by `DiagramCode`; `parse_pd` passes `labels`,
-    the flat list it has read and found to be integers in 1..2n, so only
-    the pairing checks them. Built once per Vogel move, which passes
-    `other`: its parent's pairs, with the ends it touched checked and
-    paired again, so the other labels keep the check of the build they
-    came from."""
+    Built once per code, by `DiagramCode`, from labels it has checked
+    and paired (`parse_pd` has checked their range already, so only the
+    pairing runs). Built once per Vogel move, from its parent's labels
+    and pairs with the ends it touched checked and paired again, so the
+    other labels keep the check of the build they came from."""
 
-    def __init__(self, tuples, other=None, labels=None):
-        self.n = len(tuples)
-        self.tuples = tuple(tuples)
-        if labels is None:
-            labels = list(chain.from_iterable(tuples))
-            if other is None:
-                _check_label_range(tuples, labels)
+    def __init__(self, labels, other):
+        self.n = len(labels) // 4
         self.labels = labels
-        self.other = _arc_ends(tuples, labels) if other is None else other
+        self.other = other
         if self.n == 0:
             self.signs = ()
             return
@@ -504,25 +496,23 @@ def _vogel_move(geom, defect):
         xa, xb = (b2, a2, b3, a1), (b1, a2, b2, a3)
     else:
         xa, xb = (b2, a1, b3, a2), (b1, a3, b2, a2)
-    tuples = list(geom.tuples)
+    labels = geom.labels.copy()
     ia, ib = geom.head[ea], geom.head[eb]
-    for i, e in ((ia, a3), (ib, b3)):
-        c, s = i >> 2, i & 3
-        t = tuples[c]
-        tuples[c] = t[:s] + (e,) + t[s + 1:]
-    tuples += (xa, xb)
+    labels[ia] = a3
+    labels[ib] = b3
+    labels += xa + xb
     other = geom.other + [-1] * 8
     ends = defaultdict(list)
     for i in (ia, ib, other[ia], other[ib], *range(4 * n, 4 * n + 8)):
-        ends[tuples[i >> 2][i & 3]].append(i)
+        ends[labels[i]].append(i)
     try:
         for pair in ends.values():
             if len(pair) != 2:
-                raise _label_error(tuples)
+                raise _label_error(labels, n + 2)
             i, j = pair
             other[i] = j
             other[j] = i
-        return _Geometry(tuples, other)
+        return _Geometry(labels, other)
     except ValueError as err:
         raise RuntimeError("coherence move made an invalid code: %s" % err) from err
 
@@ -605,10 +595,12 @@ def braid_word(d):
 
     letters = []
     for c in out:
-        ks = sorted({pos[circle_of[e]] for e in geom.tuples[c]})
-        if len(ks) != 2 or ks[1] != ks[0] + 1:
+        # the smoothing joins slot 0 to the outgoing over-slot and slot 2 to
+        # the incoming one, so their arcs lie on the crossing's two circles
+        k, k2 = pos[circle_of[labels[4 * c]]], pos[circle_of[labels[4 * c + 2]]]
+        if abs(k - k2) != 1:
             raise RuntimeError("crossing joins non-adjacent circles")
-        letters.append(geom.signs[c] * ks[0])
+        letters.append(geom.signs[c] * min(k, k2))
     if word_strands(letters) != count or not closure_is_knot(letters):
         raise RuntimeError("extracted word is not a knot braid on all strands")
     return letters

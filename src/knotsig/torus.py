@@ -65,9 +65,7 @@ def _kappa_pos(p, q):
             # the reduction maps (q,q) to itself; solve kappa = -kappa - 1
             # (odd q) and kappa = -kappa - 2 (even q) instead
             return sign * (-1 if p % 2 else -2) + offset
-        elif p == 2 * q:
-            return -2 * sign + offset
-        elif p > 2 * q:
+        elif p >= 2 * q:
             # collapse k consecutive subtractions of 2q; each costs 1 when q
             # is odd and nothing when q is even
             r = p % (2 * q)

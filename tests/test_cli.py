@@ -605,6 +605,19 @@ class TestExitCodes:
         assert rc == 3
         assert err == "internal error: coherence moves did not terminate\n"
 
+    def test_pipelines_disagreeing_is_3(self, capsys, tmp_path, monkeypatch):
+        # Goeritz = Seifert on every diagram: a disagreement is a fault, and
+        # neither value is printed
+        monkeypatch.setattr("knotsig.cli.seifert_signature", lambda d: 0)
+        path = tmp_path / "trefoil.pd"
+        path.write_text(TestDiagramCommands.TREFOIL, encoding="utf-8")
+        rc = main(["signature", str(path), "--method", "both"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == (
+            "internal error: the Goeritz signature -2 and the Seifert signature 0 disagree\n"
+        )
+
     def test_missing_file_is_1(self, capsys):
         rc, _ = run_cli(capsys, "signature", "/no/such/file.pd")
         assert rc == 1
@@ -641,6 +654,23 @@ class TestByteOrderMark:
             results.append(run_cli(capsys, command, str(path), *flags))
         assert results[0][0] == 0
         assert results[1] == results[0]
+
+    @pytest.mark.parametrize("command", sorted(INPUT_FILES))
+    def test_stdin_with_bom_reads_as_the_file(self, capsys, tmp_path, monkeypatch, command):
+        text, flags = INPUT_FILES[command]
+        flags = [f.format(out=tmp_path / "out") for f in flags]
+        data = b"\xef\xbb\xbf" + text.encode("utf-8")
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        # the bytes a pipe delivers, decoded as sys.stdin decodes them
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        outputs = {}
+        for source in (str(path), "-"):
+            outputs[source] = [run_cli(capsys, command, source, *flags)]
+            if command == "census-stats":
+                outputs[source].append((tmp_path / "out" / "derived.csv").read_bytes())
+        assert outputs[str(path)][0][0] == 0
+        assert outputs["-"] == outputs[str(path)]
 
 
 class TestStartUp:

@@ -314,7 +314,7 @@ def assert_same_geometry(tuples):
     """The geometry of `tuples` equals the reference's field by field, with
     incidence 4c + s read as the pair (c, s) and arcs keyed by label."""
     ref = geometry_reference(tuples)
-    geom = diagram._Geometry(tuple(map(tuple, tuples)))
+    geom = DiagramCode(tuples)._geom
     assert geom.signs == ref.signs
     if not tuples:
         return
@@ -614,7 +614,7 @@ class TestSeifert:
         # of its code gives
         move = diagram._vogel_move
         fields = (
-            "n", "tuples", "labels", "other", "walk", "head", "signs",
+            "n", "labels", "other", "walk", "head", "signs",
             "face_of", "face_count", "circle_of",
         )
         moves = 0
@@ -622,7 +622,7 @@ class TestSeifert:
         def checked(geom, defect):
             nonlocal moves
             g = move(geom, defect)
-            fresh = diagram._Geometry(g.tuples)
+            fresh = DiagramCode(list(zip(*[iter(g.labels)] * 4)))._geom
             for name in fields:
                 assert getattr(g, name) == getattr(fresh, name), name
             assert g.defect() == fresh.defect()
