@@ -1,7 +1,8 @@
 """Exact inertia of symmetric integer matrices by fraction-free elimination.
 
-A `SymIntMatrix` is stored as rows of nonzeros, checked in O(nnz); a dense
-tuple of tuples is only a conversion at the public boundary.
+A `SymIntMatrix` is stored as rows of nonzeros, checked in one pass over
+them and sorted row by row; a dense tuple of tuples is only a conversion at
+the public boundary.
 
 `inertia` runs a symmetric Bareiss elimination (E. H. Bareiss, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
@@ -10,6 +11,11 @@ det(E) != 0, so by Sylvester's law of inertia the signs of the LDL^T pivots
 it reads off are the eigenvalue signs of the input.  All arithmetic is over
 unbounded Python integers, and every stored number is a minor of the input
 (after the zero-diagonal repairs), so no entry outgrows Hadamard's bound.
+The pivot order takes low-degree rows first, a zero diagonal at four times
+its degree, and repairs a zero-diagonal pivot k with its neighbour j by
+adding or subtracting row and column j, whichever gives a nonzero pivot
++-2 a_kj + a_jj: the 1 x 1 case of the symmetric-indefinite pivoting of
+J. R. Bunch and B. N. Parlett, SIAM J. Numer. Anal. 8 (1971).
 Each stored entry carries the pivot count at which it was last exact, so a
 pivot rewrites only the entries its own row meets and every other entry is
 rescaled, exactly, when it is next read; one hub row that meets every pivot
@@ -41,8 +47,9 @@ class SymIntMatrix(Record):
     @classmethod
     def from_nonzeros(cls, rows):
         """The n x n matrix, n = len(rows), whose row i is the mapping
-        rows[i] = {j: a_ij}; absent entries are zero. Checked in time
-        linear in the entries."""
+        rows[i] = {j: a_ij}; absent entries are zero. Checked in one
+        pass over the entries; each row is then sorted by column, so the
+        cost is O(nnz log d) for rows of at most d entries."""
         n = len(rows)
         out = []
         for i, row in enumerate(rows):
@@ -109,17 +116,25 @@ def _pivots(rows):
     costs half the square of its row's length, however long the rows it
     meets are.
 
-    Every non-empty row waits in one heap under the key (zero diagonal,
-    degree, index), so the next pivot is the remaining index with a
-    nonzero diagonal and the fewest nonzeros (lowest index on ties); any
-    symmetric order is a congruence.  A key whose row has since changed
-    is stale and skipped.  A zero diagonal comes first only when every
-    remaining diagonal is zero; then row and column k, gathered in a
-    dict, get row and column j added, for the neighbour j of k of least
-    degree, which makes the pivot 2 a_kj != 0.  That reads row j and
-    changes no stored cell: row k is pivoted at once, so each row of the
-    accumulated transform has at most two ones and each transformed
-    entry is a sum of at most four input entries.
+    Every non-empty row waits in one heap.  A row's weight is its degree
+    (its count of nonzeros) if its diagonal is nonzero, and 4 times its
+    degree if its diagonal is zero; the next pivot is the remaining row
+    of least weight, a nonzero diagonal first on equal weight, then the
+    lowest index.  Any symmetric order is a congruence; this one takes
+    a zero-diagonal row of low degree before a hub row, which would fill
+    the form.  A heap entry is one int, ((8 deg + 1 if the diagonal is
+    zero else 2 deg) << bits) | i with bits = n.bit_length(), which sorts
+    in that order; an entry that no longer equals its row's key is stale
+    and skipped.  A zero-diagonal pivot k is repaired: row and column k,
+    gathered in a dict, get e times row and column j added, for the
+    neighbour j of k of least degree and e = +1 unless 2 a_kj + a_jj = 0,
+    when e = -1.  The new diagonal, the pivot, is 2 e a_kj + a_jj, and
+    the two choices differ by 4 a_kj != 0, so it is never zero.  That
+    reads row j and changes no stored cell: row k is pivoted at once, so
+    the accumulated transform has det 1 (the last pivot of a nonsingular
+    form is its determinant), each of its rows has at most two nonzeros,
+    both +-1, and each transformed entry is a signed sum of at most four
+    input entries.
     Rows that become empty are zero eigenvalues and yield nothing.
     """
     a = [{} for _ in rows]
@@ -128,13 +143,19 @@ def _pivots(rows):
         for j, x in row:
             if j >= i:
                 row_i[j] = a[j][i] = [x, 0]
+    bits = len(rows).bit_length()
+    mask = (1 << bits) - 1
     d = [1]
-    heap = [(i not in row, len(row), i) for i, row in enumerate(a) if row]
+    heap = [((2 * len(row) if i in row else 8 * len(row) + 1) << bits) | i
+            for i, row in enumerate(a) if row]
     heapify(heap)
     while heap:
-        zero, size, k = heappop(heap)
+        key = heappop(heap)
+        k = key & mask
         row_k = a[k]
-        if len(row_k) != size or (k not in row_k) != zero:
+        size = len(row_k)
+        zero = k not in row_k
+        if key != ((8 * size + 1 if zero else 2 * size) << bits) | k:
             continue
         a[k] = {}
         t = len(d) - 1
@@ -151,15 +172,22 @@ def _pivots(rows):
         if zero:
             row_k = dict(line)
             _, j = min((len(a[i]), i) for i in row_k)
-            for m, (y, s) in a[j].items():
-                x = row_k.get(m, 0) + (y if s == t else y * prev // d[s])
+            row_j = a[j]
+            f = row_k[j]
+            y, s = row_j.get(j, (0, t))
+            if s != t:
+                y = y * prev // d[s]
+            e = -1 if 2 * f + y == 0 else 1
+            p = 2 * e * f + y
+            for m, (y, s) in row_j.items():
+                x = row_k.get(m, 0) + e * (y if s == t else y * prev // d[s])
                 if x:
                     row_k[m] = x
                 else:
                     del row_k[m]
                     row_m = a[m]
-                    heappush(heap, (m not in row_m, len(row_m), m))
-            p = 2 * row_k[j]
+                    size = len(row_m)
+                    heappush(heap, ((2 * size if m in row_m else 8 * size + 1) << bits) | m)
             line = list(row_k.items())
         t1 = t + 1
         done = []
@@ -186,8 +214,9 @@ def _pivots(rows):
                             del a[j][i]
         for i, _ in line:
             row_i = a[i]
-            if row_i:
-                heappush(heap, (i not in row_i, len(row_i), i))
+            size = len(row_i)
+            if size:
+                heappush(heap, ((2 * size if i in row_i else 8 * size + 1) << bits) | i)
         d.append(p)
         yield p
 

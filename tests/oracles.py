@@ -289,7 +289,9 @@ def inertia_dense_reference(rows):
 def pivots_reference(rows):
     """The package's former `exactlin._pivots`, with one pivot stamp per
     row rather than per entry, kept as the reference for the pivot
-    sequence.
+    sequence; its key and repair follow the present rule, and its key is
+    a plain tuple, so a fault in `_pivots`' one-int heap entries shows as
+    another pivot sequence.
 
     Yield the Bareiss pivots d_1, d_2, ... of the symmetric integer
     matrix with the stored rows `rows` (see `SymIntMatrix`), in
@@ -307,23 +309,29 @@ def pivots_reference(rows):
     was last rewritten, and scaled by d_now / d_then (exactly, as its
     entries are minors too) when it is next read.
 
-    Every non-empty row waits in one heap under the key (zero diagonal,
-    degree, index), so the next pivot is the remaining index with a
-    nonzero diagonal and the fewest nonzeros (lowest index on ties); any
-    symmetric order is a congruence.  A key whose row has since changed
-    is stale and skipped.  A zero diagonal comes first only when every
-    remaining diagonal is zero; then row and column k get row and column
-    j added, for the neighbour j of k of least degree, which makes the
-    pivot 2 a_kj != 0; row k is pivoted at once, so each row of the
-    accumulated transform has at most two ones and each transformed
-    entry is a sum of at most four input entries.
+    Every non-empty row waits in one heap under the key (weight, zero
+    diagonal, index), where the weight is the degree, times 4 when the
+    diagonal is zero; any symmetric order is a congruence.  A key that
+    no longer equals its row's key is stale and skipped.  A zero-diagonal
+    pivot k gets e times row and column j added, for the neighbour j of
+    k of least degree and e = -1 if 2 a_kj + a_jj = 0, else +1, which
+    makes the pivot 2 e a_kj + a_jj != 0; row k is pivoted at once, so
+    each row of the accumulated transform has at most two nonzeros, both
+    +-1, and each transformed entry is a signed sum of at most four
+    input entries.
     Rows that become empty are zero eigenvalues and yield nothing.
     """
     n = len(rows)
     a = [dict(row) for row in rows]
     seen = [0] * n
     d = [1]
-    heap = [(i not in row, len(row), i) for i, row in enumerate(a) if row]
+
+    def key(i):
+        row = a[i]
+        zero = i not in row
+        return (4 * len(row) if zero else len(row), zero, i)
+
+    heap = [key(i) for i, row in enumerate(a) if row]
     heapify(heap)
 
     def fresh(i):
@@ -336,28 +344,31 @@ def pivots_reference(rows):
         return row
 
     while heap:
-        zero, size, k = heappop(heap)
-        if len(a[k]) != size or (k not in a[k]) != zero:
+        entry = heappop(heap)
+        k = entry[2]
+        if key(k) != entry:
             continue
         row_k = fresh(k)
-        if zero:
+        if entry[1]:
             _, j = min((len(a[i]), i) for i in row_k)
             row_j = fresh(j)
-            for m, y in row_j.items():
+            f, y = row_k[j], row_j.get(j, 0)
+            e = -1 if 2 * f + y == 0 else 1
+            row_k[k] = 2 * e * f + y
+            for m, y in list(row_j.items()):
                 if m != k:
-                    x = row_k.get(m, 0) + y
+                    x = row_k.get(m, 0) + e * y
                     if x:
                         row_k[m] = x
                     else:
                         del row_k[m]
                     row_m = a[m]
-                    x = row_m.get(k, 0) + row_m[j]
+                    x = row_m.get(k, 0) + e * row_m[j]
                     if x:
                         row_m[k] = x
                     else:
                         del row_m[k]
-                        heappush(heap, (m not in row_m, len(row_m), m))
-            row_k[k] = 2 * row_j[k]
+                        heappush(heap, key(m))
         p = row_k.pop(k)
         prev = d[-1]
         for i, f in row_k.items():
@@ -369,7 +380,7 @@ def pivots_reference(rows):
             a[i] = row_i = {j: x // prev for j, x in new.items() if x}
             seen[i] = len(d)
             if row_i:
-                heappush(heap, (i not in row_i, len(row_i), i))
+                heappush(heap, key(i))
         a[k] = {}
         d.append(p)
         yield p

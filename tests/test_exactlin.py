@@ -160,24 +160,37 @@ def test_agrees_with_sturm_oracle(rows):
 
 
 @st.composite
-def sparse_sym(draw, max_dim=24, zero_diagonal=False, duplicate=False, hub=False):
+def sparse_sym(draw, max_dim=24, zero_diagonal=False, duplicate=False, hub=False, mixed=False):
     """A symmetric matrix with about three nonzeros per row; optionally with
     every diagonal entry zero, with one row/column copied onto another
-    (so the matrix is singular), or with one hub row joined to every
-    other row and the diagonal zero or not, as drawn."""
+    (so the matrix is singular), with one hub row joined to every
+    other row and the diagonal zero or not, as drawn, or mixed: entries
+    in {-2, -1, 1, 2}, and about half the rows, drawn, have a zero
+    diagonal and one nonzero, to a row with a nonzero diagonal.  A mixed
+    form's zero-diagonal rows are pivoted early, and their repairs often
+    meet 2 a_kj + a_jj = 0."""
     n = draw(st.integers(min_value=2 if duplicate else 0, max_value=max_dim))
     rows = [[0] * n for _ in range(n)]
     if n == 0:
         return rows
     index = st.integers(min_value=0, max_value=n - 1)
-    value = st.integers(min_value=-9, max_value=9)
+    value = st.sampled_from([-2, -1, 1, 2]) if mixed else st.integers(min_value=-9, max_value=9)
     if hub:
         zero_diagonal = draw(st.booleans())
-    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+    leaf = [mixed and draw(st.booleans()) for _ in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=(6 if mixed else 3) * n))):
         i, j = draw(index), draw(index)
-        if i == j and zero_diagonal:
+        if (i == j and zero_diagonal) or (mixed and (i == j or leaf[i] or leaf[j])):
             continue
         rows[i][j] = rows[j][i] = draw(value)
+    if mixed and not all(leaf):
+        full = st.sampled_from([i for i in range(n) if not leaf[i]])
+        for i in range(n):
+            if leaf[i]:
+                j = draw(full)
+                rows[i][j] = rows[j][i] = draw(value)
+            else:
+                rows[i][i] = draw(value)
     if hub:
         h = draw(index)
         for t in range(n):
@@ -196,6 +209,7 @@ SPARSE_KINDS = {
     "zero-diagonal": {"zero_diagonal": True},
     "rank-deficient": {"duplicate": True},
     "hub": {"hub": True},
+    "mixed-diagonal": {"mixed": True},
 }
 
 
@@ -235,11 +249,11 @@ def hyperbolic_rows(n):
     return [{i ^ 1: 1} for i in range(n)]
 
 
-def star_rows(n):
-    """Nonzero rows of a hub of diagonal n and n leaves of diagonal 1, each
-    with a 1 to the hub."""
-    rows = [{0: n, **dict.fromkeys(range(1, n + 1), 1)}]
-    rows += [{0: 1, i: 1} for i in range(1, n + 1)]
+def star_rows(n, hub=None, leaf=1):
+    """Nonzero rows of a hub of diagonal `hub` (n if None) and n leaves of
+    diagonal `leaf`, each with a 1 to the hub."""
+    rows = [{0: n if hub is None else hub, **dict.fromkeys(range(1, n + 1), 1)}]
+    rows += [{0: 1, i: leaf} if leaf else {0: 1} for i in range(1, n + 1)]
     return rows
 
 
@@ -367,13 +381,51 @@ def test_knot_form_pivot_sequences_match_reference(knot_forms):
     [
         lambda: twist_hub_form(150),
         lambda: SymIntMatrix.from_nonzeros(star_rows(300)),
+        lambda: SymIntMatrix.from_nonzeros(star_rows(300, hub=-2, leaf=0)),
         lambda: SymIntMatrix.from_nonzeros(hyperbolic_rows(300)),
         lambda: SymIntMatrix.from_nonzeros(path_rows(300)),
     ],
-    ids=["twist hub q=150", "star n=300", "hyperbolic sum n=300", "path n=300"],
+    ids=["twist hub q=150", "star n=300", "zero-leaf star n=300", "hyperbolic sum n=300",
+         "path n=300"],
 )
 def test_fixed_form_pivot_sequences_match_reference(build):
     # the shapes where shared cells and their stamps matter most, small
     # enough for the reference's per-row stamps
     rows = build().rows
     assert list(_pivots(rows)) == list(pivots_reference(rows))
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_zero_leaf_star_repairs_subtract_the_hub(n):
+    # each leaf k is a zero diagonal whose one neighbour, the hub j, has
+    # a_jj = -2 and a_kj = 1; adding the hub's row would make the pivot
+    # 2 + (-2) = 0, so the repair subtracts it, and the pivot is -4
+    rows = star_rows(n, hub=-2, leaf=0)
+    pivots = list(_pivots(SymIntMatrix.from_nonzeros(rows).rows))
+    assert pivots[0] == -4
+    got = inertia(SymIntMatrix.from_nonzeros(rows))
+    assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(dense(rows))
+
+
+def torus_det(p, q):
+    # det T(p, q) = |Delta(-1)|: 1 when p and q are both odd, else the odd one
+    return p if q % 2 == 0 else q if p % 2 == 0 else 1
+
+
+TORUS_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 150 // p + 1)
+               if math.gcd(p, q) == 1] + [(4, 75)]
+
+
+def test_repairs_keep_the_torus_determinant():
+    # a repair adds or subtracts one row and column, a transform of det 1,
+    # so the last Bareiss pivot is the form's determinant on both sides
+    peak = {}
+    for p, q in TORUS_PAIRS:
+        d = torus.torus_pd(p, q)
+        forms = [diagram.checkerboard(d).matrix.rows,
+                 SymIntMatrix(_symmetrized(diagram.seifert_matrix(d))).rows]
+        pivots = [list(_pivots(rows)) for rows in forms]
+        assert [abs(ps[-1]) for ps in pivots] == [torus_det(p, q)] * 2, (p, q)
+        peak[p, q] = max(abs(x).bit_length() for ps in pivots for x in ps)
+    assert len(TORUS_PAIRS) == 140
+    assert peak[4, 75] <= 56
