@@ -105,11 +105,6 @@ class CensusRow(Record):
         object.__setattr__(self, "geom", geom)
 
 
-def _fmt_complex(z):
-    sign = "+" if z.imag >= 0 else "-"
-    return "%r%s%ri" % (z.real, sign, abs(z.imag))
-
-
 def parse_geodesics(text):
     records = []
     for chunk in text.split(";"):
@@ -128,12 +123,17 @@ def parse_geodesics(text):
 
 
 def format_geodesics(geos):
+    """The text `parse_geodesics` reads: `re+imi:parity[:radius]` per
+    geodesic, joined by `;`, each from one format. The sign is read off
+    the imaginary part and its magnitude follows, so -0.0 is written +0.0."""
     parts = []
     for g in geos:
-        item = "%s:%s" % (_fmt_complex(g.complex_length), g.linking_parity)
-        if g.tube_radius is not None:
-            item += ":%r" % g.tube_radius
-        parts.append(item)
+        z, r = g.complex_length, g.tube_radius
+        parts.append(
+            "%r%s%ri:%s%s"
+            % (z.real, "+" if z.imag >= 0 else "-", abs(z.imag), g.linking_parity,
+               "" if r is None else ":" + repr(r))
+        )
     return ";".join(parts)
 
 

@@ -13,6 +13,7 @@ from .torus import kappa
 EPSILON_3 = 0.775
 
 _TWO_PI = 2 * math.pi
+_TWO_PI_NUM, _TWO_PI_DEN = _TWO_PI.as_integer_ratio()
 
 
 class GeodesicRecord(Record):
@@ -65,58 +66,75 @@ def twisting_parameter(cl):
     constraints; among exactly equal norms, the least p, then the least q.
 
     cl.real, cl.imag and the float 2*pi are binary rationals, so over one
-    common denominator they are integers A, B, T and the squared norm of
-    (p, q) is the integer (p*A)**2 + (p*B + q*T)**2: every comparison is
-    exact. The admissible points (p even, q odd) form the coset
-    (0, 1) + 2Z^2 of (p, q) coefficients. Gauss-Lagrange reduction of the
-    basis (2, 0), (0, 2) under this norm gives a basis b1, b2 with b1
-    shortest, and the coset splits into lines (0, 1) + j*b2 + Z*b1. Lines
-    are scanned outward from the one nearest the origin, until a line's
-    distance alone exceeds the best norm; the norm is convex along a line,
-    so only the two integers around its minimum are tried. A non-coprime
-    candidate d*w (d odd, at least 3) never wins: w is admissible too and
-    shorter, so no gcd test is needed."""
+    common denominator (the largest of their three, all powers of two) they
+    are integers A, B, T. The squared norm of (p, q) is then the integer
+    form p*p*g11 + 2*p*q*g12 + q*q*g22 with Gram entries g11 = A**2 + B**2,
+    g12 = B*T and g22 = T**2: every comparison is exact. The admissible
+    points (p even, q odd) form the coset e + 2Z^2, e = (0, 1).
+
+    Gauss-Lagrange reduction of the basis (2, 0), (0, 2) runs on the basis
+    coefficients and three running Gram values, n1 = |b1|^2, n2 = |b2|^2
+    and m = <b1, b2>: b2 -= k*b1 sets n2 += k*(k*n1 - 2*m) and m -= k*n1,
+    with no norm recomputed from the coefficients. It ends with b1 shortest,
+    and the coset splits into lines e + j*b2 + Z*b1. Lines are scanned
+    outward from the one nearest the origin, until a line's distance alone
+    exceeds the best norm, which starts at |e|^2 = g22 since e itself is
+    admissible. Along a line the norm is a convex quadratic in i, so the
+    sign of one difference picks the lesser of the two integers around its
+    minimum, and only that point is compared. On an exact tie between v
+    and v + b1 only v is: the coset is symmetric under negation, so
+    -(v + b1) is the point taken on the mirror line, which lies at the same
+    distance and is scanned too, or the line is its own mirror and
+    -(v + b1) = v. A non-coprime candidate d*w (d odd, at least 3) never
+    wins: w is admissible too and shorter, so no gcd test is needed."""
     _validate_length(cl)
-    ratios = [x.as_integer_ratio() for x in (cl.real, cl.imag, _TWO_PI)]
-    den = math.lcm(*(d for _, d in ratios))
-    A, B, T = (n * (den // d) for n, d in ratios)
-    g11, g12, g22 = A * A + B * B, B * T, T * T
-
-    def dot(u, v):
-        return (u[0] * v[0] * g11 + (u[0] * v[1] + u[1] * v[0]) * g12
-                + u[1] * v[1] * g22)
-
-    b1, b2 = (2, 0), (0, 2)
-    n1, n2 = dot(b1, b1), dot(b2, b2)
+    a, da = cl.real.as_integer_ratio()
+    b, db = cl.imag.as_integer_ratio()
+    den = max(da, db, _TWO_PI_DEN)
+    A, B, T = a * (den // da), b * (den // db), _TWO_PI_NUM * (den // _TWO_PI_DEN)
+    g12, g22 = B * T, T * T
+    # b1 = (p1, q1), b2 = (p2, q2) in (p, q) coefficients
+    p1, q1, p2, q2 = 2, 0, 0, 2
+    n1, n2, m = 4 * (A * A + B * B), 4 * g22, 4 * g12
     while True:
         if n2 < n1:
-            b1, b2, n1, n2 = b2, b1, n2, n1
-        k = _nearest(dot(b1, b2), n1)
+            p1, q1, p2, q2, n1, n2 = p2, q2, p1, q1, n2, n1
+        k = _nearest(m, n1)
         if k == 0:
             break
-        b2 = (b2[0] - k * b1[0], b2[1] - k * b1[1])
-        n2 = dot(b2, b2)
-    m12 = dot(b1, b2)
-    det = n1 * n2 - m12 * m12
-    # line j = {(0, 1) + j*b2 + i*b1}: its squared distance from the origin
+        p2 -= k * p1
+        q2 -= k * q1
+        n2 += k * (k * n1 - 2 * m)
+        m -= k * n1
+    det = n1 * n2 - m * m
+    n1det = n1 * det
+    # x1 = <e, b1>, x2 = <e, b2>; line j's squared distance from the origin
     # is (s + j*det)**2 / (n1*det)
-    x1, x2 = dot((0, 1), b1), dot((0, 1), b2)
-    s = x2 * n1 - m12 * x1
+    x1, x2 = p1 * g12 + q1 * g22, p2 * g12 + q2 * g22
+    s = x2 * n1 - m * x1
     j0 = _nearest(-s, det)
-    best = None
+    best_n, best_p, best_q = g22, 0, 1
+    bound = g22 * n1det
     for j, step in ((j0, 1), (j0 - 1, -1)):
-        while best is None or (s + j * det) ** 2 <= best[0] * n1 * det:
-            # the norm along the line is least at i = -(x1 + j*m12) / n1
-            i0 = -(x1 + j * m12) // n1
-            for i in (i0, i0 + 1):
-                p, q = j * b2[0] + i * b1[0], 1 + j * b2[1] + i * b1[1]
+        while (s + j * det) ** 2 <= bound:
+            # u = e + j*b2 and c = <u, b1>: |u + i*b1|^2 = |u|^2 + i*(2c + i*n1)
+            c = x1 + j * m
+            i = -c // n1
+            f = c + i * n1  # <u + i*b1, b1>, in (-n1, 0]
+            n = g22 + j * (2 * x2 + j * n2) + i * (c + f)
+            d = n1 + 2 * f  # the norm at i + 1 less the norm at i
+            if d < 0:
+                i += 1
+                n += d
+            if n <= best_n:
+                p, q = j * p2 + i * p1, 1 + j * q2 + i * q1
                 if q < 0:
                     p, q = -p, -q
-                key = ((p * A) ** 2 + (p * B + q * T) ** 2, p, q)
-                if best is None or key < best:
-                    best = key
+                if n < best_n or (p, q) < (best_p, best_q):
+                    best_n, best_p, best_q = n, p, q
+                    bound = n * n1det
             j += step
-    return TwistParam(best[1], best[2])
+    return TwistParam(best_p, best_q)
 
 
 def _nearest(x, n):

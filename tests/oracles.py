@@ -6,15 +6,17 @@ hand-rolled Sturm chain over Fractions, the package's former dense
 elimination is kept as a second inertia reference and its former sparse
 elimination, with one pivot stamp per row, as the reference for the pivot
 sequence, the twisting parameter is found by a numpy grid scan and by an
-exact scan of lines of fixed q, the torus correction term is
-recomputed one reduction rule at a time with no closed-form shortcuts, the
-diagram geometry is rebuilt by the package's former dict-based walk, and
+exact scan of lines of fixed q, and the package's former lattice search
+(every Gram product through a nested dot) is kept as its reference, the
+torus correction term is recomputed one reduction rule at a time with no
+closed-form shortcuts, the diagram geometry is rebuilt by the package's
+former dict-based walk, and
 the package's former trace closure (label every edge, then merge and
 rename), Goeritz form (counters keyed by face) and braid Seifert matrix
 (dense, every loop against every loop of the next generator) are kept as
 references, and so is the former census ingest (one dict per row from
 `csv.DictReader`, one warnings capture per row) and emit (`csv.writer`,
-one row at a time).
+one row at a time, and the former geodesics text, a format per part).
 """
 
 import contextlib
@@ -37,7 +39,6 @@ from knotsig.census import (
     CensusFormatError,
     CensusRow,
     _plots_json,
-    format_geodesics,
     parse_geodesics,
 )
 from knotsig.cusp import GeometryWarning
@@ -50,6 +51,7 @@ from knotsig.diagram import (
     relabel_tuples,
 )
 from knotsig.exactlin import SymIntMatrix
+from knotsig.geodesic import _TWO_PI, TwistParam, _validate_length
 
 
 def brute_force_twisting(cl, tol=1e-9):
@@ -104,6 +106,72 @@ def line_scan_twisting(cl):
                 if best is None or key < best:
                     best = key
     return best[1:]
+
+
+# geodesic.twisting_parameter as it was when its reduction recomputed every
+# Gram product through a nested dot, with its rounding helper
+def twisting_reference(cl):
+    """The (p, q) minimizing |cl*p + 2*pi*i*q| subject to the TwistParam
+    constraints; among exactly equal norms, the least p, then the least q.
+
+    cl.real, cl.imag and the float 2*pi are binary rationals, so over one
+    common denominator they are integers A, B, T and the squared norm of
+    (p, q) is the integer (p*A)**2 + (p*B + q*T)**2: every comparison is
+    exact. The admissible points (p even, q odd) form the coset
+    (0, 1) + 2Z^2 of (p, q) coefficients. Gauss-Lagrange reduction of the
+    basis (2, 0), (0, 2) under this norm gives a basis b1, b2 with b1
+    shortest, and the coset splits into lines (0, 1) + j*b2 + Z*b1. Lines
+    are scanned outward from the one nearest the origin, until a line's
+    distance alone exceeds the best norm; the norm is convex along a line,
+    so only the two integers around its minimum are tried. A non-coprime
+    candidate d*w (d odd, at least 3) never wins: w is admissible too and
+    shorter, so no gcd test is needed."""
+    _validate_length(cl)
+    ratios = [x.as_integer_ratio() for x in (cl.real, cl.imag, _TWO_PI)]
+    den = math.lcm(*(d for _, d in ratios))
+    A, B, T = (n * (den // d) for n, d in ratios)
+    g11, g12, g22 = A * A + B * B, B * T, T * T
+
+    def dot(u, v):
+        return (u[0] * v[0] * g11 + (u[0] * v[1] + u[1] * v[0]) * g12
+                + u[1] * v[1] * g22)
+
+    b1, b2 = (2, 0), (0, 2)
+    n1, n2 = dot(b1, b1), dot(b2, b2)
+    while True:
+        if n2 < n1:
+            b1, b2, n1, n2 = b2, b1, n2, n1
+        k = _nearest(dot(b1, b2), n1)
+        if k == 0:
+            break
+        b2 = (b2[0] - k * b1[0], b2[1] - k * b1[1])
+        n2 = dot(b2, b2)
+    m12 = dot(b1, b2)
+    det = n1 * n2 - m12 * m12
+    # line j = {(0, 1) + j*b2 + i*b1}: its squared distance from the origin
+    # is (s + j*det)**2 / (n1*det)
+    x1, x2 = dot((0, 1), b1), dot((0, 1), b2)
+    s = x2 * n1 - m12 * x1
+    j0 = _nearest(-s, det)
+    best = None
+    for j, step in ((j0, 1), (j0 - 1, -1)):
+        while best is None or (s + j * det) ** 2 <= best[0] * n1 * det:
+            # the norm along the line is least at i = -(x1 + j*m12) / n1
+            i0 = -(x1 + j * m12) // n1
+            for i in (i0, i0 + 1):
+                p, q = j * b2[0] + i * b1[0], 1 + j * b2[1] + i * b1[1]
+                if q < 0:
+                    p, q = -p, -q
+                key = ((p * A) ** 2 + (p * B + q * T) ** 2, p, q)
+                if best is None or key < best:
+                    best = key
+            j += step
+    return TwistParam(best[1], best[2])
+
+
+def _nearest(x, n):
+    """The integer nearest x/n (n > 0), halves rounded up."""
+    return (2 * x + n) // (2 * n)
 
 
 def plain_kappa(p, q, max_steps=10**7):
@@ -790,6 +858,22 @@ def ingest_reference(source):
     return rows
 
 
+# census.format_geodesics as it was when each geodesic took three formats
+def _fmt_complex_reference(z):
+    sign = "+" if z.imag >= 0 else "-"
+    return "%r%s%ri" % (z.real, sign, abs(z.imag))
+
+
+def format_geodesics_reference(geos):
+    parts = []
+    for g in geos:
+        item = "%s:%s" % (_fmt_complex_reference(g.complex_length), g.linking_parity)
+        if g.tube_radius is not None:
+            item += ":%r" % g.tube_radius
+        parts.append(item)
+    return ";".join(parts)
+
+
 # census.emit as it was when csv.writer wrote derived.csv. Its quoting is
 # Python's: on 3.10-3.12 a field holding a CR is written unquoted
 def _csv_fields_reference(d):
@@ -804,7 +888,7 @@ def _csv_fields_reference(d):
         r.meridian.real,
         r.meridian.imag,
         r.longitude,
-        format_geodesics(r.geodesics),
+        format_geodesics_reference(r.geodesics),
         pd,
         d.slope,
         d.gap,

@@ -26,7 +26,7 @@ from knotsig.cusp import (
 from knotsig.diagram import DiagramCode, gl_signature
 from knotsig.geodesic import GeodesicRecord
 
-from oracles import emit_reference, ingest_reference
+from oracles import emit_reference, format_geodesics_reference, ingest_reference
 
 HEADER = (
     "name,crossings,signature,volume,inj_radius,"
@@ -589,6 +589,41 @@ class TestEmit:
     def test_uses_lf_line_endings(self, tmp_path):
         c, _ = census.emit(census.derive(census.ingest(SAMPLE)), tmp_path)
         assert b"\r" not in c.read_bytes()
+
+    @given(
+        st.lists(
+            st.builds(
+                GeodesicRecord,
+                st.builds(
+                    complex,
+                    st.floats(min_value=5e-324, allow_infinity=False),
+                    st.floats(-math.pi, math.pi, exclude_min=True) | st.sampled_from((0.0, -0.0)),
+                ),
+                st.sampled_from(("odd", "even")),
+                st.none() | st.floats(min_value=5e-324, allow_infinity=False),
+            )
+            | st.builds(
+                lambda re, im, radius: unchecked(
+                    GeodesicRecord,
+                    complex_length=complex(re, im),
+                    linking_parity="odd",
+                    tube_radius=radius,
+                ),
+                st.floats(),
+                st.floats(),
+                st.none() | numbers,
+            ),
+            max_size=4,
+        )
+    )
+    @example([GeodesicRecord(complex(0.2, -0.0), "odd", 0.5), GeodesicRecord(complex(1e-300, -3.0), "even")])
+    @example([unchecked(GeodesicRecord, complex_length=complex(math.inf, math.nan),
+                        linking_parity="odd", tube_radius=-0.0)])
+    def test_geodesics_text_matches_the_reference(self, geos):
+        # records as ingest builds them, with tube radii and imaginary parts
+        # that are negative or zero, and any floats past validation, as the
+        # emit test draws them
+        assert census.format_geodesics(geos) == format_geodesics_reference(geos)
 
     @given(rows=st.lists(derived_rows(), max_size=4))
     @example(rows=[])

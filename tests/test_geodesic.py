@@ -7,9 +7,15 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oracles import ExactLength, brute_force_twisting, line_scan_twisting
+from oracles import (
+    ExactLength,
+    brute_force_twisting,
+    line_scan_twisting,
+    plain_kappa,
+    twisting_reference,
+)
 from knotsig.geodesic import (
     EPSILON_3,
     GeodesicRecord,
@@ -28,6 +34,15 @@ def random_length(rng):
     if im == -math.pi:
         im = math.pi
     return complex(re, im)
+
+
+def log_uniform(lo, hi):
+    """Floats in [lo, hi] whose logarithm is drawn from [log lo, log hi]."""
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
+
+
+# the principal band (-pi, pi] of imaginary parts
+principal_im = st.floats(-math.pi, math.pi, exclude_min=True)
 
 
 class TestTwistParam:
@@ -159,6 +174,30 @@ class TestTwistingParameter:
             flipped = twisting_parameter(cl.conjugate())
             assert (flipped.p, flipped.q) == (-tw.p, tw.q)
 
+    @given(log_uniform(5e-324, 10.0), principal_im)
+    @example(5e-324, math.pi)
+    @example(5e-324, math.nextafter(-math.pi, 0))
+    @example(5e-324, 0.0)
+    @example(5e-324, -0.0)
+    @example(0.2, math.pi)
+    @example(0.2, math.nextafter(-math.pi, 0))
+    @example(1e-12, 0.0)
+    @example(1e-12, -0.0)
+    # the one exact tie found among lengths that are small binary multiples
+    # of 2*pi: (-2, 1) and (0, 1) both have norm 4*pi**2
+    @example(math.pi, math.pi)
+    def test_matches_reference(self, re, im):
+        cl = complex(re, im)
+        assert twisting_parameter(cl) == twisting_reference(cl)
+
+    def test_matches_reference_on_a_sweep(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            re = max(math.exp(rng.uniform(math.log(5e-324), math.log(10.0))), 5e-324)
+            im = rng.uniform(-math.pi, math.pi)
+            cl = complex(re, math.pi if im == -math.pi else im)
+            assert twisting_parameter(cl) == twisting_reference(cl), cl
+
 
 class TestTubeTorus:
     def test_unit_sinh(self):
@@ -228,6 +267,34 @@ class TestCorrectedSlope:
         geo = GeodesicRecord(complex(0.2, math.pi), "odd")
         assert kappa(-2, 1).as_integer() == 1
         assert corrected_slope_estimate(5.0, [geo], 0.7) == 1.5
+
+    @given(st.data())
+    def test_matches_the_oracles(self, data):
+        # census-like lists: either parity, Re on both sides of epsilon/2
+        # and at it, but Re >= 1e-3 so that the line scan stays cheap
+        epsilon = data.draw(st.floats(0.05, 0.77), label="epsilon")
+        half = epsilon / 2
+        re = st.one_of(log_uniform(1e-3, 2.0), st.sampled_from((half, math.nextafter(half, 0))))
+        geos = data.draw(
+            st.lists(
+                st.builds(
+                    GeodesicRecord,
+                    st.builds(complex, re, principal_im),
+                    st.sampled_from(("odd", "even")),
+                    st.none() | st.floats(0.01, 5.0),
+                ),
+                max_size=4,
+            ),
+            label="geos",
+        )
+        slope = data.draw(st.floats(-100.0, 100.0), label="slope")
+        total = sum(
+            plain_kappa(*line_scan_twisting(g.complex_length))
+            for g in geos
+            if g.complex_length.real < half and g.linking_parity == "odd"
+        )
+        assert total.denominator == 1
+        assert corrected_slope_estimate(slope, geos, epsilon) == slope / 2 - int(total)
 
     def test_correction_beyond_float_range(self):
         geo = GeodesicRecord(complex(5e-324, 5e-324), "odd")
