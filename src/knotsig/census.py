@@ -7,13 +7,12 @@ The input schema is flat and hand-editable:
     longitude,geodesics,pd
 
 where geodesics is a semicolon-separated list of "re+imi:parity[:radius]"
-entries and pd is an optional quoted diagram code. Emitted files append
-derived columns to the same schema, so a derived CSV ingests again and
-re-emits byte for byte. derived.csv holds one line per row, LF-ended,
-with every number as `str()` writes it. A text field is wrapped in
-quotes, its own quotes doubled, exactly when it holds a comma, a quote,
-CR or LF; a PD code always holds commas, so it always is. The bytes are
-the same on every supported Python.
+entries and pd is an optional quoted diagram code, kept as its canonical
+text. Emitted files append derived columns to the same schema, so a
+derived CSV ingests again and re-emits byte for byte. derived.csv holds
+one LF-ended line per row, every number as `str()` writes it, and quotes
+a text field, its own quotes doubled, exactly when it holds a comma, a
+quote, CR or LF. The bytes are the same on every supported Python.
 
 Soft geometry warnings raised while rows are parsed are captured once per
 file and re-issued after it as `GeometryWarning`s, in row order, each
@@ -39,7 +38,7 @@ from .cusp import (
     natural_slope,
     parse_complex,
 )
-from .diagram import DiagramCode, pd_text
+from .diagram import parse_pd, pd_text
 from .geodesic import GeodesicRecord
 
 _COLUMNS = (
@@ -69,8 +68,9 @@ class CensusFormatError(ValueError):
 
 
 class CensusRow(Record):
-    """One validated census row. `geom`, its `KnotGeom`, is built once
-    with the row and takes no part in `==`, `hash` or `repr`."""
+    """One validated census row. `pd` is its PD code as `pd_text` writes
+    it, labels 1..2n, or None. `geom`, its `KnotGeom`, is built once with
+    the row and takes no part in `==`, `hash` or `repr`."""
 
     _fields = (
         "name",
@@ -162,7 +162,7 @@ def _parse_row(name, crossings, sigma, volume, inj, re, im, longitude, geodesics
         meridian,
         float(longitude),
         parse_geodesics(geodesics or ""),
-        DiagramCode.parse(pd) if pd else None,
+        pd_text(parse_pd(pd)) if pd else None,
     )
 
 
@@ -175,10 +175,10 @@ def ingest(source):
     a field missing from a short row is None, extra fields are ignored, a
     repeated column name reads its last column. Malformed rows, and lines
     that `csv` cannot read (such as a field past its size limit), raise
-    CensusFormatError with the offending line number. Soft geometry
-    warnings are captured once for the whole file and re-issued after
-    it, in row order, with "<file> line N: " attached, also when a later
-    row raises.
+    CensusFormatError with the offending line number, and text that is
+    not UTF-8 with the file's name only. Soft geometry warnings are
+    captured once for the whole file and re-issued after it, in row
+    order, with "<file> line N: " attached, also when a later row raises.
     """
     if hasattr(source, "read"):
         fh = contextlib.nullcontext(source)
@@ -229,6 +229,10 @@ def ingest(source):
             raise CensusFormatError(
                 "%s line %d: %s" % (where, reader.line_num, exc)
             ) from exc
+        except UnicodeDecodeError as exc:
+            # decoded in chunks ahead of the reader, so no line number is known
+            bad = "%s: not UTF-8 text (byte 0x%02x)" % (where, exc.object[exc.start])
+            raise CensusFormatError(bad) from exc
         finally:
             for line, message in pending:
                 warnings.warn(
@@ -405,9 +409,8 @@ def emit(report, out_dir):
 
     derived.csv is built in one pass, one line per row from one format,
     and written with one call: numbers as str() writes them, LF line ends.
-    A text field (name, geodesics) is wrapped in quotes, its own quotes
-    doubled, exactly when it holds a comma, a quote, CR or LF, and a PD
-    code, whose text always holds commas and never a quote, always is.
+    A text field (name, geodesics, PD code) is wrapped in quotes, its
+    own quotes doubled, exactly when it holds a comma, a quote, CR or LF.
     So the bytes are the same on every supported Python, and the file
     reads back in: csv.writer on 3.10-3.12 wrote a field whose only
     special character is a CR bare, which ends the row when read."""
@@ -430,7 +433,7 @@ def emit(report, out_dir):
                 r.meridian.imag,
                 r.longitude,
                 _csv_text(format_geodesics(r.geodesics)),
-                '"%s"' % pd_text(r.pd) if r.pd is not None and r.pd.crossings else "",
+                _csv_text(r.pd or ""),
                 d.slope,
                 d.gap,
                 d.c1,

@@ -48,6 +48,7 @@ from knotsig.diagram import (
     GoeritzData,
     MultiComponentError,
     PDSyntaxError,
+    pd_text,
     relabel_tuples,
 )
 from knotsig.exactlin import SymIntMatrix
@@ -805,7 +806,7 @@ def _parse_row_reference(rec):
         meridian=meridian,
         longitude=float(rec["longitude"]),
         geodesics=parse_geodesics(rec["geodesics"] or ""),
-        pd=DiagramCode.parse(pd_field) if pd_field else None,
+        pd=pd_text(DiagramCode.parse(pd_field)) if pd_field else None,
     )
 
 
@@ -878,7 +879,6 @@ def format_geodesics_reference(geos):
 # Python's: on 3.10-3.12 a field holding a CR is written unquoted
 def _csv_fields_reference(d):
     r = d.row
-    pd = " ".join("X(%d,%d,%d,%d)" % t for t in r.pd.crossings) if r.pd is not None else ""
     return (
         r.name,
         r.crossings,
@@ -889,7 +889,7 @@ def _csv_fields_reference(d):
         r.meridian.imag,
         r.longitude,
         format_geodesics_reference(r.geodesics),
-        pd,
+        r.pd or "",
         d.slope,
         d.gap,
         d.c1,

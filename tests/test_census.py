@@ -1,12 +1,14 @@
 """Census ingestion, derived statistics, and deterministic emission."""
 
 import csv
+import gc
 import hashlib
 import importlib.resources
 import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,8 +25,9 @@ from knotsig.cusp import (
     natural_slope,
     normalized_signature,
 )
-from knotsig.diagram import DiagramCode, gl_signature
+from knotsig.diagram import gl_signature, parse_pd, pd_text
 from knotsig.geodesic import GeodesicRecord
+from knotsig.torus import torus_pd
 
 from oracles import emit_reference, format_geodesics_reference, ingest_reference
 
@@ -173,6 +176,46 @@ class TestIngest:
         # a tube radius that is not a number names its geodesic
         with pytest.raises(ValueError, match=r"geodesic '0\.1\+0\.1i:odd:abc'"):
             census.parse_geodesics("0.2+3.1415i:odd;0.1+0.1i:odd:abc")
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_non_utf8_byte_names_the_file(self, tmp_path, where):
+        # the text layer decodes ahead of the csv reader, so no line is named
+        path = tmp_path / "census.csv"
+        text = "\n".join([HEADER, GOOD, GOOD, "K\udcff" + GOOD[1:], GOOD]) + "\n"
+        if where == "header":
+            text = "\udcff" + text
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(CensusFormatError) as err:
+            census.ingest(path)
+        assert str(err.value) == "%s: not UTF-8 text (byte 0xff)" % path
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+    def test_pd_code_is_kept_as_its_canonical_text(self, tmp_path):
+        # labels that are not 1..2n come back renamed, one space between terms
+        path = write_csv(tmp_path, '%s" X(10,30,20,60)  X(30,50,40,20)\tX(50,10,60,40) "' % GOOD)
+        (row,) = census.ingest(path)
+        assert row.pd == "X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)"
+        c1, _ = census.emit(census.derive([row]), tmp_path / "one")
+        assert c1.read_text(encoding="utf-8").splitlines()[1].startswith(
+            '%s"X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)",' % GOOD
+        )
+        c2, _ = census.emit(census.derive(census.ingest(c1)), tmp_path / "two")
+        assert c2.read_bytes() == c1.read_bytes()
+
+    def test_retains_a_small_multiple_of_the_file(self, tmp_path):
+        # rows of a 2,000-crossing code keep the code's text, not its geometry
+        code = pd_text(torus_pd(2, 2001))
+        path = write_csv(tmp_path, *['K%d%s"%s"' % (i, GOOD[1:], code) for i in range(20)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = census.ingest(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [r.pd for r in rows] == [code] * 20
+        assert retained <= 2 * path.stat().st_size
 
 
 # census fields per column: values that parse, some of them with a soft
@@ -337,7 +380,7 @@ class TestDerive:
     def test_pd_signature_matches_column(self):
         for row in census.ingest(SAMPLE):
             if row.pd is not None:
-                assert gl_signature(row.pd) == row.sigma
+                assert gl_signature(parse_pd(row.pd)) == row.sigma
 
     @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
     @pytest.mark.parametrize(
@@ -485,7 +528,7 @@ emit_text = st.text(
     st.one_of(st.sampled_from(',"\n \t;:é'), st.characters(exclude_characters="\r")),
     max_size=8,
 )
-TREFOIL = DiagramCode.parse("X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)")
+TREFOIL = "X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)"
 
 
 def unchecked(cls, **fields):
@@ -517,7 +560,7 @@ def derived_rows(draw):
         meridian=complex(draw(st.floats()), draw(st.floats())),
         longitude=draw(numbers),
         geodesics=geodesics,
-        pd=draw(st.sampled_from((None, TREFOIL, DiagramCode([])))),
+        pd=draw(st.sampled_from((None, TREFOIL, ""))),
     )
     return DerivedRow(row, *[draw(numbers) for _ in range(5)])
 

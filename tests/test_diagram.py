@@ -596,11 +596,11 @@ class TestSeifert:
         assert digest.startswith("bb866517dd6d8d49")
 
     def test_only_the_seifert_side_finds_circles(self):
-        # building a code, reading it from a census row and the Goeritz side
+        # building a code, parsing a census row's code text and the Goeritz side
         # leave the circles unbuilt; braid_word builds them on the code's
         # own geometry
         sample = importlib.resources.files("knotsig") / "data" / "sample_census.csv"
-        codes = [row.pd for row in census.ingest(sample) if row.pd is not None]
+        codes = [parse_pd(row.pd) for row in census.ingest(sample) if row.pd is not None]
         codes += load_fixture_file(CORPUS).values()
         for d in codes:
             gl_signature(d)

@@ -18,6 +18,7 @@ from knotsig.twistfam import FamilyRow, TwistSpec
 
 TREFOIL = [(1, 3, 2, 6), (3, 5, 4, 2), (5, 1, 6, 4)]
 TREFOIL_REPR = "DiagramCode(crossings=((1, 3, 2, 6), (3, 5, 4, 2), (5, 1, 6, 4)), signs=(1, 1, 1))"
+TREFOIL_TEXT = "X(1,3,2,6) X(3,5,4,2) X(5,1,6,4)"
 CUSP_REPR = "CuspShape(longitude=3.9279, meridian=(0.7237+1.016j))"
 FORM_REPR = "SymIntMatrix(rows=(((0, 2), (1, -1)), ((0, -1),)))"
 GEODESIC_REPR = (
@@ -26,8 +27,8 @@ GEODESIC_REPR = (
 )
 ROW_REPR = (
     "CensusRow(name='6_1', crossings=6, sigma=0, volume=3.1639, inj=0.55, "
-    "meridian=(0.7237+1.016j), longitude=3.9279, geodesics=(%s,), pd=%s)"
-    % (GEODESIC_REPR, TREFOIL_REPR)
+    "meridian=(0.7237+1.016j), longitude=3.9279, geodesics=(%s,), pd=%r)"
+    % (GEODESIC_REPR, TREFOIL_TEXT)
 )
 DERIVED_REPR = (
     "DerivedRow(row=%s, slope=1.25, gap=-1.25, c1=0.5, sigma_hat=0.0, "
@@ -42,7 +43,7 @@ def cusp():
 def census_row():
     return CensusRow(
         "6_1", 6, 0, 3.1639, 0.55, complex(0.7237, 1.016), 3.9279,
-        [GeodesicRecord(complex(0.2, math.pi), "even")], DiagramCode(TREFOIL),
+        [GeodesicRecord(complex(0.2, math.pi), "even")], TREFOIL_TEXT,
     )
 
 
