@@ -413,15 +413,14 @@ def emit(report, out_dir):
     own quotes doubled, exactly when it holds a comma, a quote, CR or LF.
     So the bytes are the same on every supported Python, and the file
     reads back in: csv.writer on 3.10-3.12 wrote a field whose only
-    special character is a CR bare, which ends the row when read."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "derived.csv"
-    json_path = out_dir / "plots.json"
-    lines = [",".join(_COLUMNS + _DERIVED_COLUMNS) + "\n"]
+    special character is a CR bare, which ends the row when read. Every
+    line is encoded before any file is created or truncated: text that
+    UTF-8 cannot encode, such as a lone surrogate, raises
+    CensusFormatError naming its row and leaves both files as they were."""
+    lines = [(",".join(_COLUMNS + _DERIVED_COLUMNS) + "\n").encode("ascii")]
     for d in report.rows:
         r = d.row
-        lines.append(
+        line = (
             _ROW
             % (
                 _csv_text(r.name),
@@ -441,7 +440,17 @@ def emit(report, out_dir):
                 d.gap_normalized,
             )
         )
-    csv_path.write_text("".join(lines), encoding="utf-8", newline="")
+        try:
+            lines.append(line.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise CensusFormatError(
+                "row %s: not UTF-8 text (character %r)" % (r.name, exc.object[exc.start])
+            ) from exc
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "derived.csv"
+    json_path = out_dir / "plots.json"
+    csv_path.write_bytes(b"".join(lines))
     payload = {
         "schema_version": 1,
         "c1_hist": [[lo, count] for lo, count in report.c1_hist],

@@ -28,17 +28,30 @@ from .torus import kappa, torus_pd, torus_signature
 from .twistfam import family_report, load_spec
 
 
+def _read_text(path):
+    """The text of the input file at `path`, or of standard input for "-",
+    decoded once as UTF-8 whatever the locale, a leading byte-order mark
+    (U+FEFF) dropped. Bytes that are not UTF-8 raise a ValueError naming
+    the file, "<stdin>" for standard input, and the first bad byte."""
+    if path == "-":
+        name, data = "<stdin>", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            name, data = path, fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            "%s: not UTF-8 text (byte 0x%02x)" % (name, exc.object[exc.start])
+        ) from None
+
+
 def _stdin():
-    """Standard input, read as an input file is: its text with a leading
-    byte-order mark (U+FEFF) dropped, as a stream named "<stdin>"."""
-    stream = io.StringIO(sys.stdin.read().removeprefix("\ufeff"))
+    """Standard input, read as an input file is, as a stream named
+    "<stdin>"."""
+    stream = io.StringIO(_read_text("-"))
     stream.name = "<stdin>"
     return stream
-
-
-def _read_text(path):
-    with _stdin() if path == "-" else open(path, encoding="utf-8-sig") as fh:
-        return fh.read()
 
 
 def _geom_from_args(args):
@@ -140,7 +153,7 @@ def _cmd_correct_slope(args):
 
 
 def _cmd_twist_verify(args):
-    spec, q_vectors = load_spec(_stdin() if args.path == "-" else args.path)
+    spec, q_vectors = load_spec(io.StringIO(_read_text(args.path)))
     for row in family_report(spec, q_vectors):
         q_text = ",".join(str(q) for q in row.q)
         print("%s %d %d %d" % (q_text, row.sigma, row.predicted, row.residual))

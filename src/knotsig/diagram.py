@@ -14,8 +14,10 @@ Conventions, fixed once for the whole package:
   is rejected.
 
 A code is walked and validated once, by `_Geometry`, when a `DiagramCode`
-is built; the geometry stays on the code and both pipelines read it from
-there. A geometry is built from one flat list of labels, indexed by
+is built; the geometry is all that the code stores, and both pipelines
+read it from there. A code's crossing tuples are cut from the geometry's
+flat labels each time they are read, so every label is held once. A
+geometry is built from one flat list of labels, indexed by
 incidence i = 4c + s, slot s of crossing c, and its pairing of the two
 ends of every arc (`other[i]`), which the caller has checked: a
 `DiagramCode` checks every label, `parse_pd` has checked the range of
@@ -77,13 +79,15 @@ class DiagramCode(Record):
     """A validated knot diagram: crossing tuples in the strict slot
     convention, with arc labels exactly 1..2n.
 
-    The sign of every crossing and the `_Geometry` (walk, faces) are
-    worked out from the crossings when the code is built, so a code
-    that is not a strict planar knot diagram raises a `ValueError`
-    subclass then. The geometry takes no part in `==`, `hash` or `repr`."""
+    A code stores only its `_Geometry`, built when the code is built, so
+    a code that is not a strict planar knot diagram raises a `ValueError`
+    subclass then. Its labels are kept once, as the geometry's flat list:
+    `crossings`, the 4-tuples, is cut from that list on every read, and
+    `signs` and `n` are the geometry's own. `==`, `hash` and `repr` read
+    `crossings` and `signs`; the rest of the geometry takes no part."""
 
     _fields = ("crossings", "signs")
-    __slots__ = _fields + ("_geom",)
+    __slots__ = ("_geom",)
 
     def __init__(self, crossings):
         tuples = tuple(map(tuple, crossings))
@@ -96,17 +100,19 @@ class DiagramCode(Record):
             or max(labels) > 2 * len(tuples)
         ):
             raise _label_error(labels, len(tuples))
-        self._adopt(tuples, labels)
+        object.__setattr__(self, "_geom", _Geometry(labels, _arc_ends(labels)))
 
-    def _adopt(self, tuples, labels):
-        geom = _Geometry(labels, _arc_ends(labels))
-        object.__setattr__(self, "crossings", tuples)
-        object.__setattr__(self, "signs", geom.signs)
-        object.__setattr__(self, "_geom", geom)
+    @property
+    def crossings(self):
+        return tuple(zip(*[iter(self._geom.labels)] * 4))
+
+    @property
+    def signs(self):
+        return self._geom.signs
 
     @property
     def n(self):
-        return len(self.crossings)
+        return self._geom.n
 
     @property
     def writhe(self):
@@ -131,12 +137,13 @@ class DiagramCode(Record):
         return cls(tuples)
 
     @classmethod
-    def _read(cls, tuples, labels):
-        """The code of `tuples`, whose flat labels `labels` are integers
-        already known to lie in 1..2n: its geometry pairs them without
-        scanning them again. `parse_pd` builds codes so."""
+    def _read(cls, labels):
+        """The code of the flat labels `labels`, four to a crossing, which
+        are integers already known to lie in 1..2n: its geometry pairs
+        them without scanning them again, and keeps the list itself as
+        its labels. `parse_pd` builds codes so."""
         code = cls.__new__(cls)
-        code._adopt(tuples, labels)
+        object.__setattr__(code, "_geom", _Geometry(labels, _arc_ends(labels)))
         return code
 
     @classmethod
@@ -194,12 +201,11 @@ def parse_pd(text):
     least = min(labels)
     if least < 1:
         raise PDSyntaxError("arc labels must be positive integers")
-    tuples = tuple(zip(*[iter(labels)] * 4))
     # labels 1..2n are kept as read, and the geometry pairs them without
-    # scanning them again; only other codes are renamed
-    if least == 1 and max(labels) == 2 * len(tuples):
-        return DiagramCode._read(tuples, labels)
-    return DiagramCode.from_tuples(tuples)
+    # scanning them again; only other codes are cut into tuples and renamed
+    if least == 1 and max(labels) == len(labels) // 2:
+        return DiagramCode._read(labels)
+    return DiagramCode.from_tuples(zip(*[iter(labels)] * 4))
 
 
 def pd_text(d):

@@ -565,6 +565,14 @@ def derived_rows(draw):
     return DerivedRow(row, *[draw(numbers) for _ in range(5)])
 
 
+# a row whose name holds a lone surrogate, which UTF-8 cannot encode
+SURROGATE_ROW = DerivedRow(
+    unchecked(CensusRow, name="K\udcff", crossings=5, sigma=-2, volume=4.0, inj=0.5,
+              meridian=complex(0.8, 1.0), longitude=5.0, geodesics=(), pd=None),
+    1.25, -5.25, 0.5, -1.0, -2.625,
+)
+
+
 class TestEmit:
     def test_schema_keys(self, tmp_path):
         report = census.derive(census.ingest(SAMPLE))
@@ -670,12 +678,31 @@ class TestEmit:
 
     @given(rows=st.lists(derived_rows(), max_size=4))
     @example(rows=[])
+    @example(rows=[SURROGATE_ROW])
     def test_matches_the_csv_writer_emit(self, rows):
         report = StatsReport(tuple(rows), 2.0, 2.0, (), None, (), None)
         with tempfile.TemporaryDirectory() as tmp:
+            try:
+                want = emit_reference(report, Path(tmp) / "want")
+            except UnicodeEncodeError:
+                # a lone surrogate in a text field: emit refuses it before
+                # it writes anything
+                with pytest.raises(CensusFormatError):
+                    census.emit(report, Path(tmp) / "got")
+                assert not (Path(tmp) / "got" / "derived.csv").exists()
+                return
             got = census.emit(report, Path(tmp) / "got")
-            want = emit_reference(report, Path(tmp) / "want")
             assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
+    def test_unencodable_row_leaves_the_files_as_they_were(self, tmp_path):
+        report = census.derive(census.ingest(SAMPLE))
+        paths = census.emit(report, tmp_path)
+        before = [p.read_bytes() for p in paths]
+        rows = report.rows[:1] + (SURROGATE_ROW,) + report.rows[1:]
+        with pytest.raises(CensusFormatError) as err:
+            census.emit(census.aggregate(rows), tmp_path)
+        assert str(err.value) == "row K\udcff: not UTF-8 text (character '\\udcff')"
+        assert [p.read_bytes() for p in paths] == before
 
     def test_field_with_a_cr_reads_back(self, tmp_path, capsys):
         # csv.writer on Python 3.10-3.12 quoted the first name for its comma,

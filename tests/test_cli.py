@@ -44,6 +44,14 @@ def run_cli(capsys, *args):
     return rc, capsys.readouterr().out
 
 
+def piped(data, errors="strict"):
+    """Standard input as a pipe delivers `data`, text or bytes: a text layer
+    over the bytes, as sys.stdin is, decoding with `errors`."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+
+
 class TestScalarCommands:
     def test_slope_fixture(self, capsys):
         rc, out = run_cli(capsys, "slope", *STEVEDORE)
@@ -172,11 +180,11 @@ class TestDiagramCommands:
         assert out == "gl -2\nseifert -2\n"
 
     def test_signature_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(self.TREFOIL))
+        monkeypatch.setattr("sys.stdin", piped(self.TREFOIL))
         assert run_cli(capsys, "signature", "-") == (0, "gl -2\nseifert -2\n")
 
     def test_over_the_size_limit_is_1_at_once(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("X(1,2,3,4) " * 120_001))
+        monkeypatch.setattr("sys.stdin", piped("X(1,2,3,4) " * 120_001))
         monkeypatch.setattr("knotsig.diagram._TOKEN", NoTerms())
         rc = main(["signature", "-"])
         captured = capsys.readouterr()
@@ -252,7 +260,7 @@ class TestTwistVerify:
         path = tmp_path / "fam.json"
         path.write_text(text, encoding="utf-8")
         from_file = run_cli(capsys, "twist-verify", str(path))
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", piped(text))
         assert run_cli(capsys, "twist-verify", "-") == from_file
         assert from_file[0] == 0 and len(from_file[1].splitlines()) == 2
 
@@ -285,7 +293,7 @@ class TestCensusStats:
 
     def test_stdin(self, capsys, tmp_path, monkeypatch):
         text = SAMPLE.read_text(encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", piped(text))
         rc, out = run_cli(capsys, "census-stats", "-", "--out", str(tmp_path))
         assert rc == 0
         assert "rows 3" in out
@@ -293,9 +301,7 @@ class TestCensusStats:
     def test_stdin_error_names_stdin(self, capsys, tmp_path, monkeypatch):
         header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
         rows = ["A,5,-2,4.0,0.5,0.8,1.0,5.0,,", "B,5,-2,huge,0.5,0.8,1.0,5.0,,"]
-        stdin = io.StringIO("\n".join([header, *rows]) + "\n")
-        stdin.name = "<stdin>"  # the name sys.stdin reports
-        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdin", piped("\n".join([header, *rows]) + "\n"))
         rc = main(["census-stats", "-", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 1
@@ -662,8 +668,7 @@ class TestByteOrderMark:
         data = b"\xef\xbb\xbf" + text.encode("utf-8")
         path = tmp_path / "input"
         path.write_bytes(data)
-        # the bytes a pipe delivers, decoded as sys.stdin decodes them
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        monkeypatch.setattr("sys.stdin", piped(data))
         outputs = {}
         for source in (str(path), "-"):
             outputs[source] = [run_cli(capsys, command, source, *flags)]
@@ -671,6 +676,36 @@ class TestByteOrderMark:
                 outputs[source].append((tmp_path / "out" / "derived.csv").read_bytes())
         assert outputs[str(path)][0][0] == 0
         assert outputs["-"] == outputs[str(path)]
+
+
+class TestNotUtf8:
+    # a byte that is not UTF-8 is reported with the file's name, and
+    # standard input is decoded as a file is: under the C/POSIX locale
+    # sys.stdin would pass it on as a lone surrogate
+    @staticmethod
+    def run(capsys, command, source, tmp_path):
+        flags = [f.format(out=tmp_path / "out") for f in INPUT_FILES[command][1]]
+        rc = main([command, source, *flags])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    @pytest.mark.parametrize("command", sorted(INPUT_FILES))
+    def test_file_error_names_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "bad"
+        path.write_bytes(INPUT_FILES[command][0].encode("utf-8") + b"\xff")
+        rc, out, err = self.run(capsys, command, str(path), tmp_path)
+        assert (rc, out) == (1, "")
+        assert err == "error: %s: not UTF-8 text (byte 0xff)\n" % path
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(INPUT_FILES))
+    def test_stdin_error_names_stdin(self, capsys, tmp_path, monkeypatch, command):
+        data = INPUT_FILES[command][0].encode("utf-8") + b"\xff"
+        monkeypatch.setattr("sys.stdin", piped(data, errors="surrogateescape"))
+        rc, out, err = self.run(capsys, command, "-", tmp_path)
+        assert (rc, out) == (1, "")
+        assert err == "error: <stdin>: not UTF-8 text (byte 0xff)\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestStartUp:

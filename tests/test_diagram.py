@@ -1,10 +1,12 @@
 """Diagram parsing, the Goeritz pipeline, and the Seifert pipeline."""
 
+import gc
 import hashlib
 import importlib.resources
 import importlib.util
 import math
 import random
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -243,6 +245,30 @@ class TestLabels:
         assert d.crossings == tuple(self.LEFT_TREFOIL)
         tuples = torus_pd(5, 41).crossings
         assert DiagramCode.from_tuples(tuples).crossings == tuples
+
+    @pytest.mark.parametrize(
+        "build, bound",
+        [
+            # 416-428 B per crossing on Python 3.10-3.12 while a code kept its
+            # crossing tuples beside the flat labels, 336-348 B since
+            (lambda: torus_pd(2, 20001), 380),
+            # 476 B on Python 3.11 while parse_pd cut tuples, 396 B since
+            (lambda: parse_pd(pd_text(torus_pd(2, 20001))), 430),
+        ],
+        ids=["torus_pd", "parse_pd"],
+    )
+    def test_a_large_code_keeps_one_copy_of_its_labels(self, build, bound):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            d = build()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n = d.n
+        assert n == 20_001
+        assert retained <= bound * n
 
     def test_parse_pd_renames_only_through_from_tuples(self, monkeypatch):
         def refuse(cls, tuples):

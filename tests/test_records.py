@@ -114,6 +114,9 @@ CASES = {
     ),
 }
 
+# compared fields that are not stored but built anew on each read
+BUILT_ON_READ = {("DiagramCode", "crossings")}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_value_class_contract(name):
@@ -132,7 +135,10 @@ def test_value_class_contract(name):
             setattr(x, field, before)
         with pytest.raises(AttributeError):
             delattr(x, field)
-        assert getattr(x, field) is before
+        if (name, field) in BUILT_ON_READ:
+            assert getattr(x, field) == before
+        else:
+            assert getattr(x, field) is before
     with pytest.raises(AttributeError):
         x.unknown = 1
 
