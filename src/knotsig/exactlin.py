@@ -1,8 +1,9 @@
 """Exact inertia of symmetric integer matrices by fraction-free elimination.
 
-A `SymIntMatrix` is stored as rows of nonzeros, checked in one pass over
-them and sorted row by row; a dense tuple of tuples is only a conversion at
-the public boundary.
+A `SymIntMatrix` is stored as one dict of nonzeros per row, checked in one
+pass over them and copied; the sorted tuples of `rows` and the dense tuple
+of tuples of `entries` are views built on read, and `inertia` hands the
+dicts to the elimination as they are.
 
 `inertia` runs a symmetric Bareiss elimination (E. H. Bareiss, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
@@ -30,11 +31,14 @@ from ._record import Record
 
 
 class SymIntMatrix(Record):
-    """Symmetric integer matrix; `rows[i]` is the tuple of pairs (j, a_ij)
-    with a_ij != 0, in increasing j. `SymIntMatrix(rows)` converts dense
-    rows, and `entries` is the dense tuple of row tuples, built on read."""
+    """Symmetric integer matrix, stored as one dict {j: a_ij} of the
+    nonzeros of each row i, checked and copied when it is built.
+    `SymIntMatrix(rows)` converts dense rows. `rows`, the tuple whose
+    item i holds the pairs (j, a_ij) with a_ij != 0 in increasing j, and
+    `entries`, the dense tuple of row tuples, are built on read."""
 
-    __slots__ = _fields = ("rows",)
+    _fields = ("rows",)
+    __slots__ = ("_rows",)
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
@@ -42,14 +46,15 @@ class SymIntMatrix(Record):
             raise ValueError("matrix must be square")
         # a zero that is not an integer is kept, for the check to reject
         rows = [{j: x for j, x in enumerate(row) if x or not isinstance(x, int)} for row in rows]
-        object.__setattr__(self, "rows", self.from_nonzeros(rows).rows)
+        object.__setattr__(self, "_rows", self.from_nonzeros(rows)._rows)
 
     @classmethod
     def from_nonzeros(cls, rows):
         """The n x n matrix, n = len(rows), whose row i is the mapping
         rows[i] = {j: a_ij}; absent entries are zero. Checked in one
-        pass over the entries; each row is then sorted by column, so the
-        cost is O(nnz log d) for rows of at most d entries."""
+        pass over the entries, then each row is copied with its zeros
+        dropped, so the cost is O(nnz) and the matrix does not change
+        when the caller's mappings do."""
         n = len(rows)
         out = []
         for i, row in enumerate(rows):
@@ -60,21 +65,24 @@ class SymIntMatrix(Record):
                     raise ValueError("column %r of row %d is outside 0..%d" % (j, i, n - 1))
                 if x and rows[j].get(i, 0) != x:
                     raise ValueError("matrix must be symmetric, differs at (%d, %d)" % (i, j))
-            items = sorted(row.items())
-            out.append(tuple(items if 0 not in row.values() else [t for t in items if t[1]]))
+            out.append(dict(row) if 0 not in row.values() else {j: x for j, x in row.items() if x})
         m = cls.__new__(cls)
-        object.__setattr__(m, "rows", tuple(out))
+        object.__setattr__(m, "_rows", tuple(out))
         return m
 
     @property
+    def rows(self):
+        return tuple(tuple(sorted(row.items())) for row in self._rows)
+
+    @property
     def n(self):
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def entries(self):
-        out = [[0] * len(self.rows) for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j, x in row:
+        out = [[0] * len(self._rows) for _ in self._rows]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
                 out[i][j] = x
         return tuple(map(tuple, out))
 
@@ -96,8 +104,12 @@ class InertiaTriple(Record):
 
 def _pivots(rows):
     """Yield the Bareiss pivots d_1, d_2, ... of the symmetric integer
-    matrix with the stored rows `rows` (see `SymIntMatrix`), in
-    elimination order; there is one per nonzero eigenvalue.
+    matrix whose row i has the nonzeros rows[i], in elimination order;
+    there is one per nonzero eigenvalue.  rows[i] is a dict {j: a_ij},
+    as a `SymIntMatrix` stores it, or an iterable of the pairs (j, a_ij),
+    as in its `rows`.  (A list of the dicts' items views would hold one
+    object per row that the cyclic garbage collector tracks: on the
+    60,000-row hub form at the letter cap, one more full collection.)
 
     d_t is the principal minor of the input (after the repairs below)
     on the first t pivot indices, so the t-th LDL^T pivot is
@@ -122,40 +134,55 @@ def _pivots(rows):
     of least weight, a nonzero diagonal first on equal weight, then the
     lowest index.  Any symmetric order is a congruence; this one takes
     a zero-diagonal row of low degree before a hub row, which would fill
-    the form.  A heap entry is one int, ((8 deg + 1 if the diagonal is
-    zero else 2 deg) << bits) | i with bits = n.bit_length(), which sorts
-    in that order; an entry that no longer equals its row's key is stale
-    and skipped.  A zero-diagonal pivot k is repaired: row and column k,
-    gathered in a dict, get e times row and column j added, for the
-    neighbour j of k of least degree and e = +1 unless 2 a_kj + a_jj = 0,
-    when e = -1.  The new diagonal, the pivot, is 2 e a_kj + a_jj, and
-    the two choices differ by 4 a_kj != 0, so it is never zero.  That
-    reads row j and changes no stored cell: row k is pivoted at once, so
-    the accumulated transform has det 1 (the last pivot of a nonsingular
-    form is its determinant), each of its rows has at most two nonzeros,
-    both +-1, and each transformed entry is a signed sum of at most four
-    input entries.
+    the form.  A row's key is one int, ((8 deg + 1 if the diagonal is
+    zero else 2 deg) << bits) | i with bits = n.bit_length(), which
+    sorts in that order.  The heap holds lower bounds on the keys:
+    low[i] is the last key pushed for row i, and is in the heap until it
+    is popped.  After a pivot, a row whose key changed is pushed only if
+    its new key is below low[i].  A popped entry of an empty row is
+    skipped.  One below its row's key is stale and skipped, and if it is
+    low[i], the row's key is pushed and becomes low[i].  One that equals
+    its row's key is below every other row's low entry, and so below
+    every other key: that row is the pivot, as with a heap of exact keys.
+    A zero-diagonal pivot k is repaired: row and column k, gathered in a
+    dict, get e times row and column j added, for the neighbour j of k
+    of least degree and e = +1 unless 2 a_kj + a_jj = 0, when e = -1.
+    The new diagonal, the pivot, is 2 e a_kj + a_jj, and the two choices
+    differ by 4 a_kj != 0, so it is never zero.  That reads row j and
+    changes no stored cell: row k is pivoted at once, so the accumulated
+    transform has det 1 (the last pivot of a nonsingular form is its
+    determinant), each of its rows has at most two nonzeros, both +-1,
+    and each transformed entry is a signed sum of at most four input
+    entries.  A row that the repair drops from k's line has lost k, and
+    is pushed by the same rule as the rows of the line.
     Rows that become empty are zero eigenvalues and yield nothing.
     """
     a = [{} for _ in rows]
     for i, row in enumerate(rows):
         row_i = a[i]
-        for j, x in row:
+        for j, x in row.items() if isinstance(row, dict) else row:
             if j >= i:
                 row_i[j] = a[j][i] = [x, 0]
     bits = len(rows).bit_length()
     mask = (1 << bits) - 1
     d = [1]
-    heap = [((2 * len(row) if i in row else 8 * len(row) + 1) << bits) | i
-            for i, row in enumerate(a) if row]
+    low = [((2 * len(row) if i in row else 8 * len(row) + 1) << bits) | i
+           for i, row in enumerate(a)]
+    heap = [low[i] for i, row in enumerate(a) if row]
     heapify(heap)
     while heap:
-        key = heappop(heap)
-        k = key & mask
+        entry = heappop(heap)
+        k = entry & mask
         row_k = a[k]
+        if not row_k:
+            continue
         size = len(row_k)
         zero = k not in row_k
-        if key != ((8 * size + 1 if zero else 2 * size) << bits) | k:
+        key = ((8 * size + 1 if zero else 2 * size) << bits) | k
+        if entry != key:
+            if entry == low[k]:
+                low[k] = key
+                heappush(heap, key)
             continue
         a[k] = {}
         t = len(d) - 1
@@ -187,7 +214,10 @@ def _pivots(rows):
                     del row_k[m]
                     row_m = a[m]
                     size = len(row_m)
-                    heappush(heap, ((2 * size if m in row_m else 8 * size + 1) << bits) | m)
+                    key = ((2 * size if m in row_m else 8 * size + 1) << bits) | m
+                    if key < low[m]:
+                        low[m] = key
+                        heappush(heap, key)
             line = list(row_k.items())
         t1 = t + 1
         done = []
@@ -216,7 +246,10 @@ def _pivots(rows):
             row_i = a[i]
             size = len(row_i)
             if size:
-                heappush(heap, ((2 * size if i in row_i else 8 * size + 1) << bits) | i)
+                key = ((2 * size if i in row_i else 8 * size + 1) << bits) | i
+                if key < low[i]:
+                    low[i] = key
+                    heappush(heap, key)
         d.append(p)
         yield p
 
@@ -233,7 +266,7 @@ def inertia(m):
         raise ValueError("inertia expects a SymIntMatrix")
     n_pos = n_neg = 0
     prev = 1
-    for p in _pivots(m.rows):
+    for p in _pivots(m._rows):
         if (p > 0) == (prev > 0):
             n_pos += 1
         else:

@@ -156,12 +156,20 @@ def load_spec(source):
     file, given as a path or an open text stream (read, not closed):
     {"base_braid": [1,1,1] or "1,1,1", "regions": [[pos,start,count]],
     "q_vectors": [[q, ...]]}, the last two optional. Any other key, or a
-    file of any other shape, raises a ValueError that names it."""
+    file of any other shape, raises a ValueError that names it. A file is
+    decoded as UTF-8, a leading byte-order mark dropped; bytes that are
+    not UTF-8 raise a ValueError naming the file and the first bad byte."""
     if hasattr(source, "read"):
         raw = json.load(source)
     else:
-        with open(source, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            raw = json.loads(data.decode("utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                "%s: not UTF-8 text (byte 0x%02x)" % (source, exc.object[exc.start])
+            ) from None
     if not isinstance(raw, dict):
         raise ValueError("spec must be a JSON object")
     unknown = sorted(set(raw) - {"base_braid", "regions", "q_vectors"})

@@ -71,6 +71,40 @@ def test_from_nonzeros_drops_zeros():
     m = SymIntMatrix.from_nonzeros([{0: 0, 1: 3}, {1: 0, 0: 3}])
     assert m.rows == (((1, 3),), ((0, 3),))
     assert m.entries == ((0, 3), (3, 0))
+    assert m._rows == ({1: 3}, {0: 3})
+
+
+def test_storage_is_a_copy_of_the_callers_rows():
+    rows = [{1: 3, 0: 2}, {0: 3, 2: -1}, {1: -1}]
+    m = SymIntMatrix.from_nonzeros(rows)
+    before = (m.rows, hash(m), m.entries, inertia(m))
+    rows[0][0] = -5
+    rows[1][1] = 7
+    rows[2].clear()
+    del rows[0][1]
+    assert (m.rows, hash(m), m.entries, inertia(m)) == before
+    assert before[0] == (((0, 2), (1, 3)), ((0, 3), (2, -1)), ((1, -1),))
+
+
+@given(data=st.data())
+def test_storage_matches_the_dense_constructor_reference(data):
+    # each row's mapping in a drawn order, with explicit zeros mixed in
+    rows = data.draw(sparse_sym(max_dim=12))
+    n = len(rows)
+    maps = []
+    for row in rows:
+        cols = data.draw(st.permutations(range(n)))
+        maps.append({j: row[j] for j in cols if row[j] or data.draw(st.booleans())})
+    m = SymIntMatrix.from_nonzeros(maps)
+    reference = SymIntMatrix(rows)
+    assert m == reference and hash(m) == hash(reference)
+    # sorted by column, whatever the mappings' order, and equal on every read
+    first = m.rows
+    assert first == m.rows == reference.rows == tuple(
+        tuple((j, x) for j, x in enumerate(row) if x) for row in rows
+    )
+    assert m.n == n and m.entries == tuple(map(tuple, rows))
+    assert inertia(m) == inertia(reference)
 
 
 def test_inertia_rejects_raw_lists():
@@ -393,6 +427,33 @@ def test_fixed_form_pivot_sequences_match_reference(build):
     # enough for the reference's per-row stamps
     rows = build().rows
     assert list(_pivots(rows)) == list(pivots_reference(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # pivot 0 cancels the diagonals of rows 1 and 2, which raises
+        # their weights from 6 to 9: each one's entry of weight 6 is
+        # popped and its new key pushed
+        [[1, -1, 1], [-1, 1, 1], [1, 1, 1]],
+        # pivot 2 lowers row 1's weight from 8 to 6, and pivot 3 cancels
+        # its diagonal, which raises it to 9: the entry of weight 6 is
+        # popped and the new key pushed, and the first entry, of weight
+        # 8 and so also below the new key, is popped and skipped
+        [[0, 2, 0, 0], [2, 1, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]],
+        # leaf 1 has a zero diagonal and is repaired with the hub j = 0:
+        # a_10 + a_00 = 0 cancels, so the hub leaves the line with its
+        # weight lowered from 10 to 8, and is pushed there
+        [[-1, 1, 2, 2, 2], [1, 0, 0, 0, 0], [2, 0, 0, 0, 0], [2, 0, 0, 0, 0],
+         [2, 0, 0, 0, 0]],
+    ],
+    ids=["key rises", "older entry skipped", "repair cancels"],
+)
+def test_heap_paths_match_reference(rows):
+    stored = SymIntMatrix(rows).rows
+    assert list(_pivots(stored)) == list(pivots_reference(stored))
+    got = inertia(SymIntMatrix(rows))
+    assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows)
 
 
 @pytest.mark.parametrize("n", [5, 40])

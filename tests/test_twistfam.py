@@ -162,3 +162,13 @@ class TestConfigText:
         assert q_vectors == [(0,), (1,), (2,)]
         with path.open(encoding="utf-8") as fh:
             assert load_spec(fh) == (spec, q_vectors)
+
+    def test_load_spec_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"base_braid": [1, 1, 1]}\xff')
+        with pytest.raises(ValueError) as err:
+            load_spec(path)
+        assert str(err.value) == "%s: not UTF-8 text (byte 0xff)" % path
+        # a leading byte-order mark is dropped, as the CLI drops it
+        path.write_bytes(b'\xef\xbb\xbf{"base_braid": [1, 1, 1]}')
+        assert load_spec(path) == (TwistSpec((1, 1, 1), ()), [])
