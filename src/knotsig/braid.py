@@ -28,12 +28,12 @@ from .cusp import _require_ints
 # it has at most n + 1 Seifert circles. Every stage grows about linearly
 # in the letters, the hub row of a twist region's Goeritz form included:
 # in process on a shared 2-core Xeon (Python 3.11.7), the 3-strand region of
-# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.6-0.9 s at
-# q = 10,000 (60,002 letters) and 1.4-2.1 s at q = 19,999 (119,996
-# letters: 0.11-0.16 s for the closure's tuples, 0.23-0.34 s for the
-# code's geometry, 0.44-0.66 s in `checkerboard`, 0.61-0.94 s in inertia),
-# and `twist-verify` on it took 1.4-2.1 s as a fresh process, peaking at
-# 140 MB.
+# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.33-0.41 s at
+# q = 10,000 (60,002 letters) and 0.68-1.07 s at q = 19,999 (119,996
+# letters: 0.06-0.12 s for the closure's tuples, 0.16-0.29 s for the
+# code's geometry, 0.15-0.29 s in `checkerboard`, 0.29-0.44 s in inertia),
+# and `twist-verify` on it took 0.76-1.38 s as a fresh process, peaking at
+# 116 MB.
 MAX_BRAID_LETTERS = 120_000
 
 

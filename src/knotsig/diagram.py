@@ -419,7 +419,8 @@ def checkerboard(d):
     column, plus the type-II correction. The form is accumulated as rows
     of nonzeros, crossing by crossing, on lists indexed by face; each
     diagonal entry is minus the sum of the rest of its row in the
-    unreduced form."""
+    unreduced form. Each unordered pair of faces is added once, in the
+    row of the lower index: the form is built as its upper triangle."""
     g = d._geom
     if g.n == 0:
         return GoeritzData(SymIntMatrix([]), 0)
@@ -468,11 +469,12 @@ def checkerboard(d):
             diag[i] += orient
             diag[j] += orient
             if i >= 0 and j >= 0:
+                if i > j:
+                    i, j = j, i
                 rows[i][j] = rows[i].get(j, 0) - orient
-                rows[j][i] = rows[j].get(i, 0) - orient
     for i, r in enumerate(rows):
         r[i] = diag[i]
-    return GoeritzData(SymIntMatrix.from_nonzeros(rows), correction)
+    return GoeritzData(SymIntMatrix._from_upper(rows), correction)
 
 
 def gl_signature(d):
@@ -619,11 +621,28 @@ def seifert_matrix(d):
     return collins_seifert_matrix(braid_word(d))
 
 
+def _symmetrized(v):
+    """V + V^T as a SymIntMatrix, for V given as rows of nonzeros {j: v_ij}:
+    each v_ij is added once, at (min(i, j), max(i, j)), and 2 v_ii on the
+    diagonal. A column of V that is not an integer in 0..n-1 is rejected
+    before it is used."""
+    n = len(v)
+    upper = [{} for _ in v]
+    for i, row in enumerate(v):
+        up_i = upper[i]
+        for j, x in row.items():
+            if not (isinstance(j, int) and 0 <= j < n):
+                raise ValueError("column %r of row %d is outside 0..%d" % (j, i, n - 1))
+            if j > i:
+                up_i[j] = up_i.get(j, 0) + x
+            elif j < i:
+                up_j = upper[j]
+                up_j[i] = up_j.get(i, 0) + x
+            else:
+                up_i[i] = 2 * x
+    return SymIntMatrix._from_upper(upper)
+
+
 def seifert_signature(d):
     """Knot signature as the signature of V + V^T, summed from V's nonzeros."""
-    v = seifert_matrix(d)
-    sym = [dict(row) for row in v]
-    for i, row in enumerate(v):
-        for j, x in row.items():
-            sym[j][i] = sym[j].get(i, 0) + x
-    return signature(SymIntMatrix.from_nonzeros(sym))
+    return signature(_symmetrized(seifert_matrix(d)))

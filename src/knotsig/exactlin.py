@@ -1,9 +1,13 @@
 """Exact inertia of symmetric integer matrices by fraction-free elimination.
 
-A `SymIntMatrix` is stored as one dict of nonzeros per row, checked in one
-pass over them and copied; the sorted tuples of `rows` and the dense tuple
-of tuples of `entries` are views built on read, and `inertia` hands the
-dicts to the elimination as they are.
+A `SymIntMatrix` stores its upper triangle: one dict of the nonzeros
+a_ij with j >= i per row i, so each unordered pair is one entry.  The
+public constructors check the whole form, symmetry included, and copy that
+half; the package's own builders, which add each pair once, hand their
+halves to a private constructor that checks types and columns only.  The
+sorted tuples of `rows` and the dense tuple of tuples of `entries` are
+views of both halves built on read, and `inertia` hands the dicts to the
+elimination as they are.
 
 `inertia` runs a symmetric Bareiss elimination (E. H. Bareiss, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*, Math. Comp.
@@ -31,14 +35,15 @@ from ._record import Record
 
 
 class SymIntMatrix(Record):
-    """Symmetric integer matrix, stored as one dict {j: a_ij} of the
-    nonzeros of each row i, checked and copied when it is built.
-    `SymIntMatrix(rows)` converts dense rows. `rows`, the tuple whose
-    item i holds the pairs (j, a_ij) with a_ij != 0 in increasing j, and
-    `entries`, the dense tuple of row tuples, are built on read."""
+    """Symmetric integer matrix, stored as its upper triangle: one dict
+    {j: a_ij} of the nonzeros with j >= i of each row i, checked and
+    copied when it is built. `SymIntMatrix(rows)` converts dense rows.
+    `rows`, the tuple whose item i holds the pairs (j, a_ij) with
+    a_ij != 0 in increasing j, and `entries`, the dense tuple of row
+    tuples, are built on read from both halves."""
 
     _fields = ("rows",)
-    __slots__ = ("_rows",)
+    __slots__ = ("_upper",)
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
@@ -46,17 +51,16 @@ class SymIntMatrix(Record):
             raise ValueError("matrix must be square")
         # a zero that is not an integer is kept, for the check to reject
         rows = [{j: x for j, x in enumerate(row) if x or not isinstance(x, int)} for row in rows]
-        object.__setattr__(self, "_rows", self.from_nonzeros(rows)._rows)
+        object.__setattr__(self, "_upper", self.from_nonzeros(rows)._upper)
 
     @classmethod
     def from_nonzeros(cls, rows):
         """The n x n matrix, n = len(rows), whose row i is the mapping
         rows[i] = {j: a_ij}; absent entries are zero. Checked in one
-        pass over the entries, then each row is copied with its zeros
-        dropped, so the cost is O(nnz) and the matrix does not change
-        when the caller's mappings do."""
+        pass over the entries, then the entries with j >= i are copied
+        with zeros dropped, so the cost is O(nnz) and the matrix does not
+        change when the caller's mappings do."""
         n = len(rows)
-        out = []
         for i, row in enumerate(rows):
             for j, x in row.items():
                 if not isinstance(x, int):
@@ -65,25 +69,50 @@ class SymIntMatrix(Record):
                     raise ValueError("column %r of row %d is outside 0..%d" % (j, i, n - 1))
                 if x and rows[j].get(i, 0) != x:
                     raise ValueError("matrix must be symmetric, differs at (%d, %d)" % (i, j))
-            out.append(dict(row) if 0 not in row.values() else {j: x for j, x in row.items() if x})
+        upper = tuple({j: x for j, x in row.items() if j >= i and x} for i, row in enumerate(rows))
         m = cls.__new__(cls)
-        object.__setattr__(m, "_rows", tuple(out))
+        object.__setattr__(m, "_upper", upper)
+        return m
+
+    @classmethod
+    def _from_upper(cls, upper):
+        """The matrix whose upper triangle is upper[i] = {j: a_ij}, j >= i,
+        for a builder that adds each unordered pair once. Entries must be
+        integers and columns integers in i..n-1; zeros are dropped in
+        place. The dicts are kept, not copied."""
+        n = len(upper)
+        for i, row in enumerate(upper):
+            for j, x in row.items():
+                if not isinstance(x, int):
+                    raise ValueError("entries must be integers, got %r" % (x,))
+                if not (isinstance(j, int) and i <= j < n):
+                    raise ValueError("column %r of row %d is outside %d..%d" % (j, i, i, n - 1))
+            if 0 in row.values():
+                for j in [j for j, x in row.items() if not x]:
+                    del row[j]
+        m = cls.__new__(cls)
+        object.__setattr__(m, "_upper", tuple(upper))
         return m
 
     @property
     def rows(self):
-        return tuple(tuple(sorted(row.items())) for row in self._rows)
+        full = [list(row.items()) for row in self._upper]
+        for i, row in enumerate(self._upper):
+            for j, x in row.items():
+                if j != i:
+                    full[j].append((i, x))
+        return tuple(tuple(sorted(row)) for row in full)
 
     @property
     def n(self):
-        return len(self._rows)
+        return len(self._upper)
 
     @property
     def entries(self):
-        out = [[0] * len(self._rows) for _ in self._rows]
-        for i, row in enumerate(self._rows):
+        out = [[0] * len(self._upper) for _ in self._upper]
+        for i, row in enumerate(self._upper):
             for j, x in row.items():
-                out[i][j] = x
+                out[i][j] = out[j][i] = x
         return tuple(map(tuple, out))
 
 
@@ -105,11 +134,11 @@ class InertiaTriple(Record):
 def _pivots(rows):
     """Yield the Bareiss pivots d_1, d_2, ... of the symmetric integer
     matrix whose row i has the nonzeros rows[i], in elimination order;
-    there is one per nonzero eigenvalue.  rows[i] is a dict {j: a_ij},
-    as a `SymIntMatrix` stores it, or an iterable of the pairs (j, a_ij),
-    as in its `rows`.  (A list of the dicts' items views would hold one
-    object per row that the cyclic garbage collector tracks: on the
-    60,000-row hub form at the letter cap, one more full collection.)
+    there is one per nonzero eigenvalue.  rows[i] is a dict {j: a_ij} of
+    the nonzeros with j >= i, as a `SymIntMatrix` stores its upper
+    triangle.  (A list of the dicts' items views would hold one object
+    per row that the cyclic garbage collector tracks: on the 60,000-row
+    hub form at the letter cap, one more full collection.)
 
     d_t is the principal minor of the input (after the repairs below)
     on the first t pivot indices, so the t-th LDL^T pivot is
@@ -160,9 +189,8 @@ def _pivots(rows):
     a = [{} for _ in rows]
     for i, row in enumerate(rows):
         row_i = a[i]
-        for j, x in row.items() if isinstance(row, dict) else row:
-            if j >= i:
-                row_i[j] = a[j][i] = [x, 0]
+        for j, x in row.items():
+            row_i[j] = a[j][i] = [x, 0]
     bits = len(rows).bit_length()
     mask = (1 << bits) - 1
     d = [1]
@@ -266,7 +294,7 @@ def inertia(m):
         raise ValueError("inertia expects a SymIntMatrix")
     n_pos = n_neg = 0
     prev = 1
-    for p in _pivots(m._rows):
+    for p in _pivots(m._upper):
         if (p > 0) == (prev > 0):
             n_pos += 1
         else:

@@ -12,7 +12,8 @@ torus correction term is recomputed one reduction rule at a time with no
 closed-form shortcuts, the diagram geometry is rebuilt by the package's
 former dict-based walk, and
 the package's former trace closure (label every edge, then merge and
-rename), Goeritz form (counters keyed by face) and braid Seifert matrix
+rename), Goeritz form (counters keyed by face), Goeritz rows and V + V^T
+(each pair written into both of its rows) and braid Seifert matrix
 (dense, every loop against every loop of the next generator) are kept as
 references, and so is the former census ingest (one dict per row from
 `csv.DictReader`, one warnings capture per row) and emit (`csv.writer`,
@@ -725,6 +726,62 @@ def checkerboard_reference(d):
         row[windex[f]] = -sum(off[f].values())
         rows.append(row)
     return GoeritzData(SymIntMatrix.from_nonzeros(rows), correction)
+
+
+def goeritz_rows_reference(d):
+    """The Goeritz rows of the package's former `checkerboard`, which added
+    each pair of white faces to both of its rows: one dict {j: a_ij} per
+    row, for `SymIntMatrix.from_nonzeros`."""
+    g = d._geom
+    if g.n == 0:
+        return []
+    face_of, walk = g.face_of, g.walk
+    colour = [0] * g.face_count
+    for x, arrivals in ((0, walk[0::2]), (1, walk[1::2])):
+        for a in arrivals:
+            colour[face_of[(a & ~3) | ((a - 1) & 3)]] = x
+            colour[face_of[a]] = 1 - x
+    outer = face_of[0]
+    white = colour[outer]
+    row = [-1] * len(colour)
+    size = 0
+    for f, x in enumerate(colour):
+        if x == white and f != outer:
+            row[f] = size
+            size += 1
+    is_white = [x == white for x in colour]
+    rows = [{} for _ in range(size)]
+    diag = [0] * (size + 1)
+    corners = zip(face_of[0::4], face_of[1::4], face_of[2::4], face_of[3::4])
+    for c, (f0, f1, f2, f3) in enumerate(corners):
+        w0, w1, w2, w3 = is_white[f0], is_white[f1], is_white[f2], is_white[f3]
+        if w0 and w2 and not (w1 or w3):
+            orient, fi, fj = 1, f0, f2
+        elif w1 and w3 and not (w0 or w2):
+            orient, fi, fj = -1, f1, f3
+        else:
+            raise PDSyntaxError("crossing %d lacks a diagonal white pair" % c)
+        if fi != fj:
+            i, j = row[fi], row[fj]
+            diag[i] += orient
+            diag[j] += orient
+            if i >= 0 and j >= 0:
+                rows[i][j] = rows[i].get(j, 0) - orient
+                rows[j][i] = rows[j].get(i, 0) - orient
+    for i, r in enumerate(rows):
+        r[i] = diag[i]
+    return rows
+
+
+def symmetrized_reference(v):
+    """The package's former V + V^T: V's rows copied, then each v_ij added
+    to the copy's entry (j, i). One dict per row, for
+    `SymIntMatrix.from_nonzeros`."""
+    sym = [dict(row) for row in v]
+    for i, row in enumerate(v):
+        for j, x in row.items():
+            sym[j][i] = sym[j].get(i, 0) + x
+    return sym
 
 
 def collins_reference(word):

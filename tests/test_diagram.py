@@ -21,7 +21,13 @@ from diagrams import (
     plat_closure_tuples,
     random_knot_word,
 )
-from oracles import checkerboard_reference, dense, geometry_reference
+from oracles import (
+    checkerboard_reference,
+    dense,
+    geometry_reference,
+    goeritz_rows_reference,
+    symmetrized_reference,
+)
 from test_braid import TWIST_SPECS, closing_words
 from test_totality import call_within_budget
 
@@ -41,6 +47,7 @@ from knotsig.diagram import (
     seifert_matrix,
     seifert_signature,
 )
+from knotsig.exactlin import SymIntMatrix
 from knotsig.torus import torus_pd
 
 TREFOIL_TEXT = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -563,11 +570,57 @@ class TestCheckerboardReference:
             assert str(err.value) == message
 
 
+def assert_forms_match_two_sided_reference(d):
+    assert checkerboard(d).matrix == SymIntMatrix.from_nonzeros(goeritz_rows_reference(d))
+    v = seifert_matrix(d)
+    assert diagram._symmetrized(v) == SymIntMatrix.from_nonzeros(symmetrized_reference(v))
+
+
+class TestUpperTriangleForms:
+    """The Goeritz form and V + V^T, each pair added once in the row of its
+    lower index, equal entry for entry the former builds that wrote each
+    pair into both of its rows."""
+
+    def test_corpus_mirrors_and_kinks(self):
+        for d in load_fixture_file(CORPUS).values():
+            for code in (d, mirror_diagram(d), insert_kink(d, 1), insert_kink(d, -1)):
+                assert_forms_match_two_sided_reference(code)
+
+    def test_random_braids_and_plats(self):
+        rng = random.Random(20261021)
+        for _ in range(100):
+            strands = rng.randint(2, 5)
+            length = rng.randint(strands + 3, 40)
+            if (length - (strands - 1)) % 2:
+                length -= 1
+            word = random_knot_word(rng, strands, length)
+            assert_forms_match_two_sided_reference(DiagramCode.from_braid_word(word))
+        for tuples in random_plats(random.Random(5), 100):
+            assert_forms_match_two_sided_reference(DiagramCode(tuples))
+
+
 class TestSeifert:
     def test_unknot(self):
         d = DiagramCode.from_tuples([])
         assert seifert_matrix(d) == []
         assert seifert_signature(d) == 0
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            [{0: -1, 1: 1.5}, {1: -1}],
+            [{0: -1}, {0.0: 1, 1: -1}],
+            [{0: -1, 2: 1}, {1: -1}],
+            [{0: -1}, {-1: 1, 1: -1}],
+        ],
+        ids=["float-entry", "float-column", "column-too-big", "column-negative"],
+    )
+    def test_bad_seifert_rows_rejected(self, monkeypatch, v):
+        # V + V^T checks each column of V before it is used: 0.0 below the
+        # diagonal would index a list, and -1 would add to row 1's diagonal
+        monkeypatch.setattr(diagram, "seifert_matrix", lambda d: v)
+        with pytest.raises(ValueError):
+            seifert_signature(DiagramCode.from_braid_word([1, 1, 1]))
 
     def test_right_trefoil(self):
         d = DiagramCode.from_braid_word([1, 1, 1])

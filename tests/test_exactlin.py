@@ -71,7 +71,7 @@ def test_from_nonzeros_drops_zeros():
     m = SymIntMatrix.from_nonzeros([{0: 0, 1: 3}, {1: 0, 0: 3}])
     assert m.rows == (((1, 3),), ((0, 3),))
     assert m.entries == ((0, 3), (3, 0))
-    assert m._rows == ({1: 3}, {0: 3})
+    assert m._upper == ({1: 3}, {})
 
 
 def test_storage_is_a_copy_of_the_callers_rows():
@@ -268,6 +268,45 @@ def test_sparse_and_dense_construction_agree(kind, data):
     assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows)
 
 
+@pytest.mark.parametrize(
+    "upper",
+    [
+        [{0: 0.5}],
+        [{0: 1, 1: "1"}, {}],
+        [{0: 1, 1.0: 2}, {1: 1}],
+        [{0: 1}, {0: 2, 1: 1}],
+        [{0: 1, 2: 1}, {1: 1}],
+    ],
+    ids=["float", "string", "float-column", "below-diagonal", "column-too-big"],
+)
+def test_from_upper_rejects(upper):
+    with pytest.raises(ValueError):
+        SymIntMatrix._from_upper(upper)
+
+
+def test_from_upper_drops_zeros():
+    m = SymIntMatrix._from_upper([{0: 0, 1: 3}, {1: 0}])
+    assert m._upper == ({1: 3}, {})
+    assert m == SymIntMatrix.from_nonzeros([{1: 3}, {0: 3}])
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+@given(data=st.data())
+def test_upper_storage_matches_from_nonzeros(kind, data):
+    # each pair given once, in the row of its lower index, with explicit
+    # zeros mixed in
+    rows = data.draw(sparse_sym(**SPARSE_KINDS[kind]))
+    upper = [
+        {j: x for j, x in enumerate(row) if j >= i and (x or data.draw(st.booleans()))}
+        for i, row in enumerate(rows)
+    ]
+    m = SymIntMatrix._from_upper(upper)
+    reference = SymIntMatrix.from_nonzeros([{j: x for j, x in enumerate(row) if x} for row in rows])
+    assert m == reference
+    assert (m.rows, m.entries, hash(m)) == (reference.rows, reference.entries, hash(reference))
+    assert inertia(m) == inertia(reference)
+
+
 def path_rows(n):
     """Nonzero rows of the n-dim form with 2 on the diagonal and -1 beside
     it."""
@@ -378,7 +417,7 @@ def hadamard_bits(rows):
 
 
 def peak_pivot_bits(rows):
-    return max((abs(p).bit_length() for p in _pivots(SymIntMatrix(rows).rows)), default=0)
+    return max((abs(p).bit_length() for p in _pivots(SymIntMatrix(rows)._upper)), default=0)
 
 
 def test_knot_form_pivots_within_hadamard_bound(knot_forms):
@@ -394,8 +433,8 @@ def test_pivots_within_hadamard_bound(kind, data):
 
 
 def same_pivots(rows):
-    stored = SymIntMatrix(rows).rows
-    return list(_pivots(stored)) == list(pivots_reference(stored))
+    m = SymIntMatrix(rows)
+    return list(_pivots(m._upper)) == list(pivots_reference(m.rows))
 
 
 @pytest.mark.parametrize("kind", ["dense", *SPARSE_KINDS])
@@ -425,8 +464,8 @@ def test_knot_form_pivot_sequences_match_reference(knot_forms):
 def test_fixed_form_pivot_sequences_match_reference(build):
     # the shapes where shared cells and their stamps matter most, small
     # enough for the reference's per-row stamps
-    rows = build().rows
-    assert list(_pivots(rows)) == list(pivots_reference(rows))
+    m = build()
+    assert list(_pivots(m._upper)) == list(pivots_reference(m.rows))
 
 
 @pytest.mark.parametrize(
@@ -450,8 +489,8 @@ def test_fixed_form_pivot_sequences_match_reference(build):
     ids=["key rises", "older entry skipped", "repair cancels"],
 )
 def test_heap_paths_match_reference(rows):
-    stored = SymIntMatrix(rows).rows
-    assert list(_pivots(stored)) == list(pivots_reference(stored))
+    m = SymIntMatrix(rows)
+    assert list(_pivots(m._upper)) == list(pivots_reference(m.rows))
     got = inertia(SymIntMatrix(rows))
     assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(rows)
 
@@ -462,7 +501,7 @@ def test_zero_leaf_star_repairs_subtract_the_hub(n):
     # a_jj = -2 and a_kj = 1; adding the hub's row would make the pivot
     # 2 + (-2) = 0, so the repair subtracts it, and the pivot is -4
     rows = star_rows(n, hub=-2, leaf=0)
-    pivots = list(_pivots(SymIntMatrix.from_nonzeros(rows).rows))
+    pivots = list(_pivots(SymIntMatrix.from_nonzeros(rows)._upper))
     assert pivots[0] == -4
     got = inertia(SymIntMatrix.from_nonzeros(rows))
     assert (got.n_pos, got.n_neg, got.n_zero) == inertia_dense_reference(dense(rows))
@@ -483,8 +522,8 @@ def test_repairs_keep_the_torus_determinant():
     peak = {}
     for p, q in TORUS_PAIRS:
         d = torus.torus_pd(p, q)
-        forms = [diagram.checkerboard(d).matrix.rows,
-                 SymIntMatrix(_symmetrized(diagram.seifert_matrix(d))).rows]
+        forms = [diagram.checkerboard(d).matrix._upper,
+                 SymIntMatrix(_symmetrized(diagram.seifert_matrix(d)))._upper]
         pivots = [list(_pivots(rows)) for rows in forms]
         assert [abs(ps[-1]) for ps in pivots] == [torus_det(p, q)] * 2, (p, q)
         peak[p, q] = max(abs(x).bit_length() for ps in pivots for x in ps)
