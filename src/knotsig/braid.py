@@ -28,12 +28,13 @@ from .cusp import _require_ints
 # it has at most n + 1 Seifert circles. Every stage grows about linearly
 # in the letters, the hub row of a twist region's Goeritz form included:
 # in process on a shared 2-core Xeon (Python 3.11.7), the 3-strand region of
-# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.33-0.41 s at
-# q = 10,000 (60,002 letters) and 0.68-1.07 s at q = 19,999 (119,996
-# letters: 0.06-0.12 s for the closure's tuples, 0.16-0.29 s for the
-# code's geometry, 0.15-0.29 s in `checkerboard`, 0.29-0.44 s in inertia),
-# and `twist-verify` on it took 0.76-1.38 s as a fresh process, peaking at
-# 116 MB.
+# {"base_braid": [1, -2], "regions": [[0, 1, 3]]} took 0.39-0.52 s at
+# q = 10,000 (60,002 letters) and 0.73-1.19 s at q = 19,999 (119,996
+# letters: 0.07-0.12 s for the closure's tuples, 0.15-0.28 s for the
+# code's geometry, 0.18-0.27 s in `checkerboard`, 0.34-0.58 s in inertia),
+# and `twist-verify` on it took 0.79-1.23 s as a fresh process, peaking at
+# 119 MB. The Seifert side builds that code's V in 0.39-0.54 s, with no
+# braid word, and its V + V^T and inertia take 0.97-1.49 s.
 MAX_BRAID_LETTERS = 120_000
 
 

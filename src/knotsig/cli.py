@@ -22,7 +22,7 @@ from .cusp import (
     parse_complex,
     slope_length,
 )
-from .diagram import gl_signature, parse_pd, seifert_signature
+from .diagram import _signatures_and_determinants, gl_signature, parse_pd, seifert_signature
 from .geodesic import EPSILON_3, corrected_slope_estimate, twisting_parameter
 from .torus import kappa, torus_pd, torus_signature
 from .twistfam import family_report, load_spec
@@ -91,10 +91,17 @@ def _cmd_signature(args):
     if args.method != "both":
         print((gl_signature if args.method == "gl" else seifert_signature)(d))
         return
-    gl, seifert = gl_signature(d), seifert_signature(d)
-    if gl != seifert:  # Goeritz = Seifert on every diagram: a program fault
+    # Goeritz = Seifert on every diagram, in signature and in |det|: a
+    # difference is a program fault
+    gl, seifert, gl_det, seifert_det = _signatures_and_determinants(d)
+    if gl != seifert:
         raise RuntimeError(
             "the Goeritz signature %d and the Seifert signature %d disagree" % (gl, seifert)
+        )
+    if gl_det != seifert_det:
+        raise RuntimeError(
+            "the Goeritz determinant %d and the Seifert determinant %d disagree"
+            % (gl_det, seifert_det)
         )
     print("gl %d\nseifert %d" % (gl, seifert))
 
@@ -103,11 +110,18 @@ def _cmd_kappa(args):
     print(kappa(args.p, args.q))
 
 
-# The pairs p * q <= N cost about N^3.3 in all: as a fresh process on a
-# shared 2-core Xeon, N = 150 took 0.4-0.8 s and N = 300 took 1.8-3.4 s.
+# The pairs p * q <= N cost about N^2.4 in all near the limit (in process,
+# 0.15 s at N = 150 and 0.76 s at N = 300): as a fresh process on a shared
+# 2-core Xeon (Python 3.11.7), N = 150 took 0.2-0.4 s and N = 300 took
+# 0.8-1.4 s.
 MAX_CHECK_PQ = 300
 # T(2, 3): no torus knot T(p, q), 2 <= p < q, has a smaller p * q
 MIN_CHECK_PQ = 6
+
+
+def _torus_determinant(p, q):
+    """|Delta(-1)| of T(p, q): 1 when p and q are both odd, else the odd one."""
+    return 1 if p % 2 and q % 2 else p if p % 2 else q
 
 
 def _cmd_torus_check(args):
@@ -127,11 +141,15 @@ def _cmd_torus_check(args):
             if math.gcd(p, q) != 1:
                 continue
             closed = torus_signature(p, q)
-            d = torus_pd(p, q)
-            got = (gl_signature(d), seifert_signature(d))
-            if got != (closed, closed):
-                mismatches += 1
-                print("MISMATCH p=%d q=%d closed=%d gl=%d seifert=%d" % (p, q, closed, *got))
+            det = _torus_determinant(p, q)
+            gl, seifert, gl_det, seifert_det = _signatures_and_determinants(torus_pd(p, q))
+            if (gl, seifert, gl_det, seifert_det) == (closed, closed, det, det):
+                continue
+            mismatches += 1
+            line = "MISMATCH p=%d q=%d closed=%d gl=%d seifert=%d" % (p, q, closed, gl, seifert)
+            if (gl_det, seifert_det) != (det, det):
+                line += " det=%d gl_det=%d seifert_det=%d" % (det, gl_det, seifert_det)
+            print(line)
         p += 1
     print("OK 0 mismatches" if mismatches == 0 else "%d mismatches" % mismatches)
     return 1 if mismatches else 0

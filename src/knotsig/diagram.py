@@ -26,9 +26,16 @@ again only the ends it touched. The walk along the strand is then the
 cycle of i -> other[i ^ 2] and the faces are the cycles of
 i -> other[(i & ~3) | ((i + 1) & 3)], kept as the face of every corner
 and a face count. The Seifert circle of every arc is worked out on first
-read, since only the Seifert side reads it. `braid_word` reads the circle
-order of the braided diagram off its seam, which steps from circle to
-circle across shared faces.
+read, since only the coherence (Vogel) moves of the Seifert side read it.
+
+The Seifert side makes the diagram braided with those moves (`_braided`),
+then reads the Seifert form of the braided diagram's own surface off its
+faces (`_surface_form`): the bands join the faces into the regions
+between the circles, and every face but the least of its region is one
+basis loop, so V has n - s + 1 rows for n crossings and s circles.
+`braid_word` reads a braid word off the same braided geometry instead,
+along a seam that steps from circle to circle across shared faces; the
+signature does not use it.
 
 `checkerboard` colours the faces for itself, from the walk alone: the face
 left of the walk changes colour at every crossing, so the even and the odd
@@ -48,11 +55,10 @@ from ._record import Record
 from .braid import (
     MAX_BRAID_LETTERS,
     closure_is_knot,
-    collins_seifert_matrix,
     trace_closure_tuples,
     word_strands,
 )
-from .exactlin import SymIntMatrix, signature
+from .exactlin import SymIntMatrix, _inertia_det, signature
 
 
 class EmptyPDError(ValueError):
@@ -174,7 +180,7 @@ _TOKEN = re.compile(r"\s*(?:" + _TERM.pattern + r"|(\S))")
 # The largest code parse_pd reads, counted before any tuple is built: the
 # largest the package builds itself, a closure of MAX_BRAID_LETTERS letters.
 # The twist hub at q = 19,999 written as a PD file (119,996 crossings) took
-# 1.8-2.5 s and 148 MB in `signature --method gl` and 3.5-5.2 s and 260 MB
+# 0.9-1.4 s and 127 MB in `signature --method gl` and 1.8-2.9 s and 169 MB
 # with --method seifert, as fresh processes on a shared 2-core Xeon.
 MAX_PD_CROSSINGS = MAX_BRAID_LETTERS
 
@@ -525,24 +531,30 @@ def _vogel_move(geom, defect):
         raise RuntimeError("coherence move made an invalid code: %s" % err) from err
 
 
-def braid_word(d):
-    """Braid word whose trace closure is the given knot, via coherence
-    moves followed by reading the braid off the circle order."""
+def _braided(d):
+    """The geometry of a braided form of the diagram: the code's own
+    geometry after coherence moves, until no face has a defect."""
     geom = d._geom
     if geom.n == 0:
-        return []
+        return geom
     cap = d.n * d.n + 8 * d.n + 64
     for _ in range(cap):
         defect = geom.defect()
         if defect is None:
-            break
+            return geom
         before = max(geom.circle_of)
         geom = _vogel_move(geom, defect)
         if max(geom.circle_of) != before:
             raise RuntimeError("coherence move changed the circle count")
-    else:
-        raise RuntimeError("coherence moves did not terminate")
+    raise RuntimeError("coherence moves did not terminate")
 
+
+def braid_word(d):
+    """Braid word whose trace closure is the given knot, via coherence
+    moves followed by reading the braid off the circle order."""
+    geom = _braided(d)
+    if geom.n == 0:
+        return []
     # seam: one arc per circle, consecutive seam arcs bordering a shared
     # face, so cutting along them unrolls the diagram into an open braid.
     # The circles of a braided diagram are nested: each face lies between
@@ -614,11 +626,93 @@ def braid_word(d):
     return letters
 
 
+def _surface_form(g):
+    """Seifert form V of the surface from the oriented smoothing of the
+    diagram with geometry g, in its face basis, as rows of nonzeros
+    (`[]` when the form is empty).
+
+    The band of a crossing meets two opposite corners: *before*, between
+    the two strands that enter (corner 3 of a positive crossing, corner
+    0 of a negative one), and *after*, between the two that leave (1 or
+    2). The classes of every crossing's before and after faces are the
+    s + 1 regions of the sphere less the s Seifert circles, and the
+    surface is the Murasugi sum, along the circles' disks, of one planar
+    piece per region, whose holes are the region's faces. Their
+    boundaries span H_1 with one relation per region, so every face but
+    the least of its region is a basis loop: n + 2 - (s + 1) of them.
+    Within a region, only the two faces of a band link: a crossing of
+    sign e adds e at V[after][before] if e = +1, or at V[before][after]
+    if e = -1, and -e/2 to both diagonals. Across a disk, only the two
+    faces P and Q beside an arc, before and after its arrival slot,
+    link, and only when the band changes side along the arc, that is
+    when the after corner of its tail crossing is not the before corner
+    of its head crossing: +1 at V[Q][P] when the tail's after corner is
+    P, -1 when it is Q. (P = Q only on a kink's arc, which links
+    nothing.) The terms are summed as 2V, whose every entry must come
+    out even; an odd one is a fault of this module."""
+    if g.n == 0:
+        return []
+    face_of, signs = g.face_of, g.signs
+    before = [f3 if e > 0 else f0 for e, f0, f3 in zip(signs, face_of[0::4], face_of[3::4])]
+    after = [f1 if e > 0 else f2 for e, f1, f2 in zip(signs, face_of[1::4], face_of[2::4])]
+    # union by the least face, so each region's root is its least face
+    root = list(range(g.face_count))
+    for x, y in zip(before, after):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        while root[y] != y:
+            root[y] = y = root[root[y]]
+        if x < y:
+            root[y] = x
+        elif y < x:
+            root[x] = y
+    # row[f]: the basis index of face f, -1 for the least face of a region
+    row = [-1] * len(root)
+    dim = 0
+    for f, r in enumerate(root):
+        if r != f:
+            row[f] = dim
+            dim += 1
+    rows = [{} for _ in range(dim)]
+    for e, b, a in zip(signs, before, after):
+        i, j = row[b], row[a]
+        if i >= 0:
+            rows[i][i] = rows[i].get(i, 0) - e
+        if j >= 0:
+            rows[j][j] = rows[j].get(j, 0) - e
+            if i >= 0:
+                if e > 0:
+                    rows[j][i] = rows[j].get(i, 0) + 2
+                else:
+                    rows[i][j] = rows[i].get(j, 0) - 2
+    other = g.other
+    for a in g.walk:
+        p, q = face_of[(a & ~3) | ((a - 1) & 3)], face_of[a]
+        if p != q:
+            tail = after[other[a] >> 2]
+            if tail != before[a >> 2]:
+                i, j = row[q], row[p]
+                if i >= 0 and j >= 0:
+                    rows[i][j] = rows[i].get(j, 0) + (2 if tail == p else -2)
+    # halved in place, so the hub's 2V and V are never held at once
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            if x & 1:
+                raise RuntimeError("entry (%d, %d) of 2V is odd" % (i, j))
+            r[j] = x >> 1
+        if 0 in r.values():
+            for j in [j for j, x in r.items() if not x]:
+                del r[j]
+    return rows
+
+
 def seifert_matrix(d):
     """Seifert form V of the surface from the oriented smoothing of a
-    braided form of the diagram, in the consecutive-band loop basis, as rows
-    of nonzeros (`[]` for the unknot)."""
-    return collins_seifert_matrix(braid_word(d))
+    braided form of the diagram, as rows of nonzeros (`[]` for the
+    unknot). The basis is that of `_surface_form`: one loop around each
+    face of the braided diagram except the least face of each region
+    between its Seifert circles."""
+    return _surface_form(_braided(d))
 
 
 def _symmetrized(v):
@@ -646,3 +740,16 @@ def _symmetrized(v):
 def seifert_signature(d):
     """Knot signature as the signature of V + V^T, summed from V's nonzeros."""
     return signature(_symmetrized(seifert_matrix(d)))
+
+
+def _signatures_and_determinants(d):
+    """`gl_signature(d)` and `seifert_signature(d)`, each with the
+    absolute determinant of its form, read off the same elimination: for
+    a knot, |det G| = |det(V + V^T)| = |Delta(-1)|, so a caller can check
+    the two pipelines on a second invariant as well."""
+    data = checkerboard(d)
+    gl, gl_det = _inertia_det(data.matrix)
+    gl = gl.signature + data.euler_correction
+    del data  # not held while the Seifert side runs, as in `gl_signature`
+    seifert, seifert_det = _inertia_det(_symmetrized(seifert_matrix(d)))
+    return gl, seifert.signature, gl_det, seifert_det

@@ -303,6 +303,24 @@ def inertia(m):
     return InertiaTriple(n_pos, n_neg, m.n - n_pos - n_neg)
 
 
+def _inertia_det(m):
+    """`inertia(m)` and |det m|, from one elimination. The zero-diagonal
+    repairs have det 1, so the last pivot of a nonsingular form is its
+    determinant; |det m| is 0 when m is singular and 1 when m is empty."""
+    if not isinstance(m, SymIntMatrix):
+        raise ValueError("inertia expects a SymIntMatrix")
+    n_pos = n_neg = 0
+    prev = 1
+    for p in _pivots(m._upper):
+        if (p > 0) == (prev > 0):
+            n_pos += 1
+        else:
+            n_neg += 1
+        prev = p
+    n_zero = m.n - n_pos - n_neg
+    return InertiaTriple(n_pos, n_neg, n_zero), 0 if n_zero else abs(prev)
+
+
 def signature(m):
     """n_pos - n_neg for a SymIntMatrix."""
     return inertia(m).signature

@@ -830,6 +830,25 @@ def collins_reference(word):
     return v
 
 
+def det_reference(rows):
+    """Determinant of a dense square integer matrix, by Bareiss
+    elimination with row swaps; 1 for the empty matrix."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev if n else 1
+
+
 def dense(rows):
     """The dense list of rows of a matrix given as rows of nonzeros."""
     out = [[0] * len(rows) for _ in rows]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import knotsig
-from knotsig import census
+from knotsig import census, cli
 from knotsig.braid import MAX_BRAID_LETTERS
 from knotsig.cli import MAX_CHECK_PQ, build_parser, main
 from knotsig.cusp import (
@@ -162,6 +162,21 @@ class TestTorusCheck:
         monkeypatch.setattr("knotsig.cli.torus_signature", lambda p, q: 0)
         rc, out = run_cli(capsys, "torus-check", "--max-pq", "6")
         assert (rc, out) == (1, "MISMATCH p=2 q=3 closed=0 gl=-2 seifert=-2\n1 mismatches\n")
+
+    def test_determinant_mismatch_is_printed_and_is_1(self, capsys, monkeypatch):
+        # T(2, 3) and T(2, 5) have determinants 3 and 5, T(3, 4) has 3
+        monkeypatch.setattr("knotsig.cli._torus_determinant", lambda p, q: 3)
+        rc, out = run_cli(capsys, "torus-check", "--max-pq", "12")
+        assert (rc, out) == (
+            1,
+            "MISMATCH p=2 q=5 closed=-4 gl=-4 seifert=-4 det=3 gl_det=5 seifert_det=5\n"
+            "1 mismatches\n",
+        )
+
+    def test_closed_form_determinants(self):
+        assert [cli._torus_determinant(p, q) for p, q in [(2, 3), (3, 4), (3, 5), (4, 7)]] == [
+            3, 3, 1, 7,
+        ]
 
 
 class TestDiagramCommands:
@@ -613,8 +628,8 @@ class TestExitCodes:
 
     def test_pipelines_disagreeing_is_3(self, capsys, tmp_path, monkeypatch):
         # Goeritz = Seifert on every diagram: a disagreement is a fault, and
-        # neither value is printed
-        monkeypatch.setattr("knotsig.cli.seifert_signature", lambda d: 0)
+        # neither value is printed. An empty V has signature 0
+        monkeypatch.setattr("knotsig.diagram.seifert_matrix", lambda d: [])
         path = tmp_path / "trefoil.pd"
         path.write_text(TestDiagramCommands.TREFOIL, encoding="utf-8")
         rc = main(["signature", str(path), "--method", "both"])
@@ -622,6 +637,20 @@ class TestExitCodes:
         assert (rc, captured.out) == (3, "")
         assert captured.err == (
             "internal error: the Goeritz signature -2 and the Seifert signature 0 disagree\n"
+        )
+
+    def test_determinants_disagreeing_is_3(self, capsys, tmp_path, monkeypatch):
+        # V + V^T = diag(-2, -4) has the trefoil's signature, -2, but
+        # determinant 8, not 3
+        monkeypatch.setattr("knotsig.diagram.seifert_matrix", lambda d: [{0: -1}, {1: -2}])
+        path = tmp_path / "trefoil.pd"
+        path.write_text(TestDiagramCommands.TREFOIL, encoding="utf-8")
+        assert run_cli(capsys, "signature", str(path), "--method", "seifert") == (0, "-2\n")
+        rc = main(["signature", str(path), "--method", "both"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == (
+            "internal error: the Goeritz determinant 3 and the Seifert determinant 8 disagree\n"
         )
 
     def test_missing_file_is_1(self, capsys):

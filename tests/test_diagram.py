@@ -24,6 +24,7 @@ from diagrams import (
 from oracles import (
     checkerboard_reference,
     dense,
+    det_reference,
     geometry_reference,
     goeritz_rows_reference,
     symmetrized_reference,
@@ -47,7 +48,7 @@ from knotsig.diagram import (
     seifert_matrix,
     seifert_signature,
 )
-from knotsig.exactlin import SymIntMatrix
+from knotsig.exactlin import SymIntMatrix, signature
 from knotsig.torus import torus_pd
 
 TREFOIL_TEXT = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -739,6 +740,149 @@ class TestSeifert:
         # V + V^T of dimension 20,000: a dense V would need about 3.2 GB
         d = torus_pd(2, 20001)
         assert call_within_budget(seifert_signature, (d,), seconds=5) == -20000
+
+
+def surface_regions(g):
+    """The after corner face of every crossing, the least face of every
+    face's region and row[f], the basis index of face f in `_surface_form`
+    (-1 for the least face of its region), found here by a plain
+    union-find of each crossing's before and after faces."""
+    before = [g.face_of[4 * c + (3 if e > 0 else 0)] for c, e in enumerate(g.signs)]
+    after = [g.face_of[4 * c + (1 if e > 0 else 2)] for c, e in enumerate(g.signs)]
+    parent = list(range(g.face_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for b, a in zip(before, after):
+        x, y = find(b), find(a)
+        parent[max(x, y)] = min(x, y)
+    roots = [find(f) for f in range(g.face_count)]
+    row, dim = [], 0
+    for f, r in enumerate(roots):
+        row.append(dim if r != f else -1)
+        dim += r != f
+    return after, roots, row
+
+
+def collins_loops_in_face_basis(word, g):
+    """P, one row per loop of Collins' basis of the closure of `word`, in
+    Collins' order: the loop between consecutive bands g0 < g1 of one
+    generator is the face after crossing g0 (crossing c is letter c); a
+    face that is the least of its region is minus the sum of the
+    region's other faces."""
+    after, roots, row = surface_regions(g)
+    dim = sum(r >= 0 for r in row)
+    bands = [[] for _ in range(braid.word_strands(word) - 1)]
+    for pos, letter in enumerate(word):
+        bands[abs(letter) - 1].append(pos)
+    out = []
+    for occurrences in bands:
+        for g0 in occurrences[:-1]:
+            f = after[g0]
+            loop = [0] * dim
+            if row[f] >= 0:
+                loop[row[f]] = 1
+            else:
+                for h, r in enumerate(roots):
+                    if r == f and h != f:
+                        loop[row[h]] = -1
+            out.append(loop)
+    return out
+
+
+def assert_surface_form_is_collins(word):
+    # Collins(w) = P V P^T, exactly: this pins V itself, where the other
+    # corner and sign choices still pass the signature and determinant
+    d = DiagramCode.from_braid_word(word)
+    g = diagram._braided(d)
+    assert g is d._geom
+    v = dense(seifert_matrix(d))
+    c = dense(braid.collins_seifert_matrix(word))
+    p = collins_loops_in_face_basis(word, g)
+    assert len(v) == len(c) == len(p)
+    pv = [[sum(x * v[i][j] for i, x in enumerate(loop) if x) for j in range(len(v))] for loop in p]
+    assert [[sum(x * y for x, y in zip(r, loop)) for loop in p] for r in pv] == c, word
+
+
+def assert_surface_form_invariants(g, sigma):
+    # dim = n - s + 1 = rank H_1 of the surface, det(V - V^T) = +-1 (the
+    # intersection form of a surface with one boundary circle) and
+    # sigma(V + V^T) = the Goeritz signature; the builder itself raises
+    # unless every entry of 2V is even
+    v = diagram._surface_form(g)
+    s = max(g.circle_of) + 1 if g.n else 1
+    assert len(v) == g.n - s + 1
+    assert signature(diagram._symmetrized(v)) == sigma
+    if len(v) <= 40:
+        m = dense(v)
+        assert abs(det_reference([[x - y for x, y in zip(r, c)] for r, c in zip(m, zip(*m))])) == 1
+
+
+def surface_codes():
+    """The corpus, its mirrors and its +-1 kinks, 60 random plats and a
+    family of 3- and 5-parameter pretzels."""
+    codes = []
+    for d in load_fixture_file(CORPUS).values():
+        codes += [d, mirror_diagram(d), insert_kink(d, 1), insert_kink(d, -1)]
+    codes += map(DiagramCode, random_plats(random.Random(33), 60))
+    make = load_script("make_corpus").pretzel_tuples
+    for ks in [(-2, 3, 5), (-2, 3, 7), (-3, 5, 7), (3, 5, 7), (-3, -5, 7), (1, 3, 5, 7, 9)]:
+        codes.append(DiagramCode.from_tuples(make(ks)))
+    return codes
+
+
+class TestSurfaceForm:
+    """`_surface_form` reads V off the faces of a diagram; the Seifert side
+    applies it to the braided geometry that `_braided` returns."""
+
+    def test_surface_form_is_collins_on_fixed_braid_closures(self):
+        rng = random.Random(1)
+        for _ in range(153):
+            strands = rng.randint(2, 6)
+            length = rng.randint(strands - 1, 24)
+            if (length - (strands - 1)) % 2:
+                length += 1
+            assert_surface_form_is_collins(random_knot_word(rng, strands, length))
+
+    @given(closing_words(min_strands=2))
+    def test_surface_form_is_collins_on_random_words(self, word):
+        assert_surface_form_is_collins(word)
+
+    def test_surface_form_invariants_after_braiding(self):
+        for d in surface_codes():
+            assert_surface_form_invariants(diagram._braided(d), gl_signature(d))
+
+    def test_surface_form_invariants_on_the_diagrams_own_surface(self):
+        # the builder needs no braiding: the unbraided diagram's own surface
+        # has the same signature, with the rank of that surface
+        for d in surface_codes():
+            assert_surface_form_invariants(d._geom, gl_signature(d))
+        d = DiagramCode.from_tuples(
+            load_script("make_corpus").pretzel_tuples((-5, 7, 9, 11, 13, 15, 17))
+        )
+        assert len(diagram._surface_form(d._geom)) == 6
+        assert_surface_form_invariants(d._geom, gl_signature(d))
+
+    @pytest.mark.parametrize("tuples", [[(1, 1, 2, 2)], [(2, 1, 1, 2)]])
+    def test_surface_form_of_a_kinked_unknot_is_empty(self, tuples):
+        d = DiagramCode(tuples)
+        assert diagram._surface_form(d._geom) == []
+        assert seifert_matrix(d) == []
+        assert seifert_signature(d) == 0
+
+    def test_surface_form_rejects_an_odd_2v(self):
+        # a crossing with its sign flipped reads the wrong band corners,
+        # and its face's diagonal in 2V comes out odd
+        d = DiagramCode.from_braid_word([1, 1, 1])
+        for c in range(3):
+            signs = list(d.signs)
+            signs[c] = -signs[c]
+            bad = SimpleNamespace(**{**vars(d._geom), "signs": tuple(signs)})
+            with pytest.raises(RuntimeError, match="of 2V is odd"):
+                diagram._surface_form(bad)
 
 
 class TestDeterminants:

@@ -5,9 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotsig import diagram, torus, twistfam
-from knotsig.exactlin import InertiaTriple, SymIntMatrix, _pivots, inertia, signature
+from knotsig.exactlin import (
+    InertiaTriple,
+    SymIntMatrix,
+    _inertia_det,
+    _pivots,
+    inertia,
+    signature,
+)
 
-from oracles import dense, inertia_by_charpoly, inertia_dense_reference, pivots_reference
+from oracles import (
+    dense,
+    det_reference,
+    inertia_by_charpoly,
+    inertia_dense_reference,
+    pivots_reference,
+)
 from test_totality import call_within_budget
 
 
@@ -529,3 +542,19 @@ def test_repairs_keep_the_torus_determinant():
         peak[p, q] = max(abs(x).bit_length() for ps in pivots for x in ps)
     assert len(TORUS_PAIRS) == 140
     assert peak[4, 75] <= 56
+
+
+@pytest.mark.parametrize("kind", ["dense", *SPARSE_KINDS])
+@given(data=st.data())
+def test_inertia_det_matches_reference(kind, data):
+    # the inertia of `inertia` and the |det| of a dense elimination with
+    # row swaps: 0 on a singular form and 1 on the empty one
+    forms = sym_matrix(8) if kind == "dense" else sparse_sym(**SPARSE_KINDS[kind])
+    rows = data.draw(forms)
+    m = SymIntMatrix(rows)
+    assert _inertia_det(m) == (inertia(m), abs(det_reference(rows)))
+
+
+def test_inertia_det_rejects_raw_lists():
+    with pytest.raises(ValueError):
+        _inertia_det([[1]])
