@@ -22,7 +22,8 @@ from .cusp import (
     parse_complex,
     slope_length,
 )
-from .diagram import _signatures_and_determinants, gl_signature, parse_pd, seifert_signature
+from .diagram import gl_form, gl_signature, parse_pd, seifert_form, seifert_signature
+from .exactlin import _inertia_det
 from .geodesic import EPSILON_3, corrected_slope_estimate, twisting_parameter
 from .torus import kappa, torus_pd, torus_signature
 from .twistfam import family_report, load_spec
@@ -86,6 +87,15 @@ def _cmd_bounds(args):
     print("c1 %.4f" % c1)
 
 
+def _signature_and_determinant(form_of, d):
+    """The knot signature of `d` by the pipeline `form_of` (`gl_form` or
+    `seifert_form`) and |det| of its form, from one elimination: for a
+    knot, |det G| = |det(V + V^T)| = |Delta(-1)|."""
+    form, correction = form_of(d)
+    triple, det = _inertia_det(form)
+    return triple.signature + correction, det
+
+
 def _cmd_signature(args):
     d = parse_pd(_read_text(args.path))
     if args.method != "both":
@@ -93,7 +103,8 @@ def _cmd_signature(args):
         return
     # Goeritz = Seifert on every diagram, in signature and in |det|: a
     # difference is a program fault
-    gl, seifert, gl_det, seifert_det = _signatures_and_determinants(d)
+    gl, gl_det = _signature_and_determinant(gl_form, d)
+    seifert, seifert_det = _signature_and_determinant(seifert_form, d)
     if gl != seifert:
         raise RuntimeError(
             "the Goeritz signature %d and the Seifert signature %d disagree" % (gl, seifert)
@@ -142,7 +153,9 @@ def _cmd_torus_check(args):
                 continue
             closed = torus_signature(p, q)
             det = _torus_determinant(p, q)
-            gl, seifert, gl_det, seifert_det = _signatures_and_determinants(torus_pd(p, q))
+            d = torus_pd(p, q)
+            gl, gl_det = _signature_and_determinant(gl_form, d)
+            seifert, seifert_det = _signature_and_determinant(seifert_form, d)
             if (gl, seifert, gl_det, seifert_det) == (closed, closed, det, det):
                 continue
             mismatches += 1

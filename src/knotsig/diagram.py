@@ -58,7 +58,7 @@ from .braid import (
     trace_closure_tuples,
     word_strands,
 )
-from .exactlin import SymIntMatrix, _inertia_det, signature
+from .exactlin import SymIntMatrix, signature
 
 
 class EmptyPDError(ValueError):
@@ -483,10 +483,17 @@ def checkerboard(d):
     return GoeritzData(SymIntMatrix._from_upper(rows), correction)
 
 
+def gl_form(d):
+    """The Goeritz form G of the white surface and its Euler correction c:
+    the knot signature is sigma(G) + c."""
+    data = checkerboard(d)
+    return data.matrix, data.euler_correction
+
+
 def gl_signature(d):
     """Knot signature via the Goeritz form of the white surface."""
-    data = checkerboard(d)
-    return signature(data.matrix) + data.euler_correction
+    form, correction = gl_form(d)
+    return signature(form) + correction
 
 
 def _vogel_move(geom, defect):
@@ -737,19 +744,12 @@ def _symmetrized(v):
     return SymIntMatrix._from_upper(upper)
 
 
+def seifert_form(d):
+    """V + V^T and the correction 0: the knot signature is sigma(V + V^T)."""
+    return _symmetrized(seifert_matrix(d)), 0
+
+
 def seifert_signature(d):
     """Knot signature as the signature of V + V^T, summed from V's nonzeros."""
-    return signature(_symmetrized(seifert_matrix(d)))
-
-
-def _signatures_and_determinants(d):
-    """`gl_signature(d)` and `seifert_signature(d)`, each with the
-    absolute determinant of its form, read off the same elimination: for
-    a knot, |det G| = |det(V + V^T)| = |Delta(-1)|, so a caller can check
-    the two pipelines on a second invariant as well."""
-    data = checkerboard(d)
-    gl, gl_det = _inertia_det(data.matrix)
-    gl = gl.signature + data.euler_correction
-    del data  # not held while the Seifert side runs, as in `gl_signature`
-    seifert, seifert_det = _inertia_det(_symmetrized(seifert_matrix(d)))
-    return gl, seifert.signature, gl_det, seifert_det
+    form, correction = seifert_form(d)
+    return signature(form) + correction

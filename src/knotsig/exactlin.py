@@ -290,17 +290,7 @@ def inertia(m):
     fraction-free pivot and d_0 = 1; every index that yields no pivot is
     a zero eigenvalue.
     """
-    if not isinstance(m, SymIntMatrix):
-        raise ValueError("inertia expects a SymIntMatrix")
-    n_pos = n_neg = 0
-    prev = 1
-    for p in _pivots(m._upper):
-        if (p > 0) == (prev > 0):
-            n_pos += 1
-        else:
-            n_neg += 1
-        prev = p
-    return InertiaTriple(n_pos, n_neg, m.n - n_pos - n_neg)
+    return _inertia_det(m)[0]
 
 
 def _inertia_det(m):
