@@ -34,6 +34,7 @@ from .cusp import (
     GeometryWarning,
     KnotGeom,
     _inj_cubed,
+    _not_utf8,
     _require_finite_number,
     natural_slope,
     parse_complex,
@@ -167,9 +168,11 @@ def _parse_row(name, crossings, sigma, volume, inj, re, im, longitude, geodesics
 
 
 def ingest(source):
-    """Read a census CSV, given as a path or an open text stream, into
-    validated rows. A stream is read but not closed, and messages name it
-    by its `name` attribute, "<stdin>" for standard input.
+    """Read a census CSV, given as a path (decoded as UTF-8 whatever the
+    locale, a leading byte-order mark dropped) or an open text stream
+    opened with newline="", into validated rows, a row at a time as it
+    streams. A stream is read but not closed, and messages name it by its
+    `name` attribute, "<stdin>" for standard input.
 
     Rows are read as `csv.DictReader` reads them: blank lines are skipped,
     a field missing from a short row is None, extra fields are ignored, a
@@ -231,8 +234,7 @@ def ingest(source):
             ) from exc
         except UnicodeDecodeError as exc:
             # decoded in chunks ahead of the reader, so no line number is known
-            bad = "%s: not UTF-8 text (byte 0x%02x)" % (where, exc.object[exc.start])
-            raise CensusFormatError(bad) from exc
+            raise CensusFormatError(_not_utf8(where, exc)) from exc
         finally:
             for line, message in pending:
                 warnings.warn(

@@ -3,6 +3,12 @@
 Results go to stdout in fixed "key value" or bare-number form; warnings go
 to stderr through the warnings machinery. Exit codes: 0 success, 1 domain
 error, 2 usage error, 3 internal error (a `RuntimeError`, one stderr line).
+
+A subcommand that reads an input takes its path, or "-" for standard input,
+whose bytes are read as the file's would be (`cusp._read_text`): UTF-8
+whatever the locale, a leading byte-order mark dropped. `census-stats`
+streams either one through `census.ingest`. A flag's value may be a
+negative number in any form, such as -1e3 or -0.7+1i.
 """
 
 import argparse
@@ -14,6 +20,7 @@ from . import census
 from .cusp import (
     CuspShape,
     KnotGeom,
+    _read_text,
     c1_statistic,
     exceptional_window,
     g4_lower_bound,
@@ -29,30 +36,8 @@ from .torus import kappa, torus_pd, torus_signature
 from .twistfam import family_report, load_spec
 
 
-def _read_text(path):
-    """The text of the input file at `path`, or of standard input for "-",
-    decoded once as UTF-8 whatever the locale, a leading byte-order mark
-    (U+FEFF) dropped. Bytes that are not UTF-8 raise a ValueError naming
-    the file, "<stdin>" for standard input, and the first bad byte."""
-    if path == "-":
-        name, data = "<stdin>", sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            name, data = path, fh.read()
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(
-            "%s: not UTF-8 text (byte 0x%02x)" % (name, exc.object[exc.start])
-        ) from None
-
-
-def _stdin():
-    """Standard input, read as an input file is, as a stream named
-    "<stdin>"."""
-    stream = io.StringIO(_read_text("-"))
-    stream.name = "<stdin>"
-    return stream
+def _source(path):
+    return sys.stdin.buffer if path == "-" else path
 
 
 def _geom_from_args(args):
@@ -97,7 +82,7 @@ def _signature_and_determinant(form_of, d):
 
 
 def _cmd_signature(args):
-    d = parse_pd(_read_text(args.path))
+    d = parse_pd(_read_text(_source(args.path)))
     if args.method != "both":
         print((gl_signature if args.method == "gl" else seifert_signature)(d))
         return
@@ -175,7 +160,7 @@ def _cmd_tw(args):
 
 def _cmd_correct_slope(args):
     geos = []
-    for line in _read_text(args.geodesics).splitlines():
+    for line in _read_text(_source(args.geodesics)).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             geos.extend(census.parse_geodesics(line))
@@ -184,14 +169,23 @@ def _cmd_correct_slope(args):
 
 
 def _cmd_twist_verify(args):
-    spec, q_vectors = load_spec(io.StringIO(_read_text(args.path)))
+    spec, q_vectors = load_spec(_source(args.path))
     for row in family_report(spec, q_vectors):
         q_text = ",".join(str(q) for q in row.q)
         print("%s %d %d %d" % (q_text, row.sigma, row.predicted, row.residual))
 
 
 def _cmd_census_stats(args):
-    rows = census.ingest(_stdin() if args.path == "-" else args.path)
+    if args.path == "-":
+        # a text layer over standard input's bytes, streamed as a file is;
+        # detached after use, so that it leaves standard input open
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="")
+        try:
+            rows = census.ingest(stdin)
+        finally:
+            stdin.detach()
+    else:
+        rows = census.ingest(args.path)
     report = census.derive(rows, args.envelope_b, args.envelope_c)
     agreement = census.sign_agreement(rows)
 
@@ -280,14 +274,29 @@ def build_parser():
     return parser
 
 
-def _glue_meridian(argv):
-    # argparse mistakes "-1.2+0.5i" for a flag; fold it into --meridian=
+def _reads_as_number(tok):
+    for parse in (float, parse_complex):
+        try:
+            parse(tok)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
+def _glue_values(argv):
+    # argparse on Python 3.10-3.12 reads only "-1" and "-.5" as negative
+    # numbers and mistakes "-1e3" or "-1.2+0.5i" for a flag: fold such a value
+    # into its flag as --flag=value; not into "--", nor --help or a prefix of
+    # it, which take none. Whatever follows --meridian is folded, so that a
+    # junk meridian is a domain error.
     out = []
-    it = iter(argv)
-    for tok in it:
-        if tok == "--meridian":
-            val = next(it, None)
-            out.append(tok if val is None else "--meridian=" + val)
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and not "--help".startswith(flag) and "=" not in flag and (
+            flag == "--meridian" or tok.startswith("-") and _reads_as_number(tok)
+        ):
+            out[-1] = flag + "=" + tok
         else:
             out.append(tok)
     return out
@@ -296,7 +305,7 @@ def _glue_meridian(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_glue_meridian(argv))
+    args = build_parser().parse_args(_glue_values(argv))
     try:
         return args.func(args) or 0
     except (ValueError, OSError) as exc:

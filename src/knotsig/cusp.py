@@ -38,6 +38,27 @@ def parse_complex(text):
         raise ValueError("bad complex number %r" % text) from None
 
 
+def _read_text(source):
+    """The text of an input, a path or an open stream (read, not closed).
+    Bytes are decoded as UTF-8 whatever the locale, a leading byte-order
+    mark dropped; a text stream's text is taken as it reads. Bytes that
+    are not UTF-8 raise a ValueError naming the path, or the stream by its
+    `name`, and the first bad byte."""
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
+            return _read_text(fh)
+    try:
+        data = source.read()
+        return data if isinstance(data, str) else data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(_not_utf8(getattr(source, "name", "<stream>"), exc)) from None
+
+
+def _not_utf8(where, exc):
+    """The message for `exc`, a UnicodeDecodeError met reading `where`."""
+    return "%s: not UTF-8 text (byte 0x%02x)" % (where, exc.object[exc.start])
+
+
 class CuspShape(Record):
     """Maximal cusp-torus lattice: real longitude length and complex
     meridian translation, normalized so Im(meridian) > 0."""

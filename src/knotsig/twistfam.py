@@ -12,7 +12,7 @@ from .braid import (
     invert_word,
     word_strands,
 )
-from .cusp import _require_ints
+from .cusp import _read_text, _require_ints
 from .diagram import DiagramCode, gl_signature
 
 
@@ -153,23 +153,14 @@ def _is_int_list(x):
 
 def load_spec(source):
     """Read a TwistSpec (and optional list of twist vectors) from a JSON
-    file, given as a path or an open text stream (read, not closed):
-    {"base_braid": [1,1,1] or "1,1,1", "regions": [[pos,start,count]],
-    "q_vectors": [[q, ...]]}, the last two optional. Any other key, or a
-    file of any other shape, raises a ValueError that names it. A file is
-    decoded as UTF-8, a leading byte-order mark dropped; bytes that are
-    not UTF-8 raise a ValueError naming the file and the first bad byte."""
-    if hasattr(source, "read"):
-        raw = json.load(source)
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-        try:
-            raw = json.loads(data.decode("utf-8-sig"))
-        except UnicodeDecodeError as exc:
-            raise ValueError(
-                "%s: not UTF-8 text (byte 0x%02x)" % (source, exc.object[exc.start])
-            ) from None
+    file, given as a path or an open stream, binary or text (read, not
+    closed): {"base_braid": [1,1,1] or "1,1,1", "regions":
+    [[pos,start,count]], "q_vectors": [[q, ...]]}, the last two optional.
+    Any other key, or a file of any other shape, raises a ValueError that
+    names it. Bytes are decoded as UTF-8, a leading byte-order mark
+    dropped; bytes that are not UTF-8 raise a ValueError naming the file,
+    or the stream by its `name`, and the first bad byte."""
+    raw = json.loads(_read_text(source))
     if not isinstance(raw, dict):
         raise ValueError("spec must be a JSON object")
     unknown = sorted(set(raw) - {"base_braid", "regions", "q_vectors"})

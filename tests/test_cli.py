@@ -1,5 +1,6 @@
 """CLI subcommands against direct library calls, plus exit-code contracts."""
 
+import gc
 import io
 import json
 import os
@@ -25,11 +26,12 @@ from knotsig.cusp import (
     natural_slope,
     slope_length,
 )
+from knotsig.diagram import pd_text
 from knotsig.geodesic import GeodesicRecord, corrected_slope_estimate, twisting_parameter
-from knotsig.torus import kappa
+from knotsig.torus import kappa, torus_pd
 from knotsig.twistfam import TwistSpec, family_report
 
-from test_census import SAMPLE
+from test_census import GOOD, SAMPLE, write_csv
 from test_diagram import NoTerms
 
 STEVEDORE = ("--longitude", "3.9279", "--meridian", "0.7237+1.0160i")
@@ -46,10 +48,13 @@ def run_cli(capsys, *args):
 
 def piped(data, errors="strict"):
     """Standard input as a pipe delivers `data`, text or bytes: a text layer
-    over the bytes, as sys.stdin is, decoding with `errors`."""
+    over the bytes, as sys.stdin is, decoding with `errors`. The bytes are
+    named "<stdin>", as sys.stdin.buffer is."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+    buffer = io.BytesIO(data)
+    buffer.name = "<stdin>"
+    return io.TextIOWrapper(buffer, encoding="utf-8", errors=errors)
 
 
 class TestScalarCommands:
@@ -125,6 +130,27 @@ class TestScalarCommands:
         [line] = out.splitlines()
         p, q = map(int, line.split())
         assert p % 2 == 0 and q % 2 == 1
+
+    # argparse on Python 3.10-3.12 reads only "-1" and "-.5" as negative
+    # numbers: each of these exited 2, "expected one argument"
+    @pytest.mark.parametrize(
+        "args, decimal",
+        [
+            ("tw --re 1e-12 --im -1e-5", "tw --re 1e-12 --im -0.00001"),
+            ("window --slope -1e3", "window --slope -1000"),
+            ("correct-slope {path} --slope -2e1 --epsilon 0.5",
+             "correct-slope {path} --slope -20 --epsilon 0.5"),
+            ("slope --longitude 3.9279 --mer -0.7237+1.016i",
+             "slope --longitude 3.9279 --meridian -0.7237+1.016i"),
+        ],
+        ids=["tw", "window", "correct-slope", "slope"],
+    )
+    def test_negative_flag_value_in_any_form(self, capsys, tmp_path, args, decimal):
+        path = tmp_path / "g.txt"
+        path.write_text("0.2+3.1i:odd\n", encoding="utf-8")
+        want = run_cli(capsys, *decimal.format(path=path).split())
+        assert want[0] == 0 and want[1].count("\n") == 1
+        assert run_cli(capsys, *args.format(path=path).split()) == want
 
 
 class TestTorusCheck:
@@ -313,6 +339,29 @@ class TestCensusStats:
         assert rc == 0
         assert "rows 3" in out
 
+    def test_stdin_streams_as_the_file_does(self, capsys, tmp_path, monkeypatch):
+        # rows of a 2,000-crossing code, 0.9 MB: a copy of the whole input, as
+        # bytes, text or a StringIO, would show in the peak
+        code = pd_text(torus_pd(2, 2001))
+        path = write_csv(tmp_path, *['K%d%s"%s"' % (i, GOOD[1:], code) for i in range(20)])
+        monkeypatch.setattr("sys.stdin", piped(path.read_bytes()))
+        runs = []
+        for source, out in ((str(path), tmp_path / "file"), ("-", tmp_path / "stdin")):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                rc, stdout = run_cli(capsys, "census-stats", source, "--out", str(out))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            outputs = [(out / name).read_bytes() for name in ("derived.csv", "plots.json")]
+            runs.append((peak, stdout.replace(str(out), "OUT"), outputs))
+        (file_peak, *file_run), (stdin_peak, *stdin_run) = runs
+        assert stdin_run == file_run
+        # within a few of the text layer's 8 KB read-ahead chunks
+        assert stdin_peak <= file_peak + 2**16
+
     def test_stdin_error_names_stdin(self, capsys, tmp_path, monkeypatch):
         header = SAMPLE.read_text(encoding="utf-8").splitlines()[0]
         rows = ["A,5,-2,4.0,0.5,0.8,1.0,5.0,,", "B,5,-2,huge,0.5,0.8,1.0,5.0,,"]
@@ -392,10 +441,11 @@ class TestExitCodes:
             ("window", "--slope", "nan"),
             ("window", "--slope", "inf"),
             ("window", "--slope=-inf"),
+            ("window", "--slope", "-inf"),
             ("slope", "--longitude", "1", "--meridian", "1e-170+1e-170i"),
         ],
         ids=["tw-re-inf", "window-nan", "window-inf", "window-minus-inf",
-             "slope-underflow"],
+             "window-minus-inf-apart", "slope-underflow"],
     )
     # the tiny meridian of the underflow case also warns that it is out of range
     @pytest.mark.filterwarnings("ignore::knotsig.cusp.GeometryWarning")
@@ -661,10 +711,12 @@ class TestExitCodes:
         parser = build_parser()
         subs = parser._subparsers._group_actions[0].choices
         for name in subs:
-            with pytest.raises(SystemExit) as exc:
-                main([name, "--help"])
-            assert exc.value.code == 0
-            assert capsys.readouterr().out
+            # a negative number after --help is not folded into it
+            for argv in ([name, "--help"], [name, "--help", "-1e3"], [name, "--he", "-1"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 0
+                assert capsys.readouterr().out
 
 
 # a file each subcommand that reads one accepts, and the flags it needs

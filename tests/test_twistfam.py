@@ -172,3 +172,12 @@ class TestConfigText:
         # a leading byte-order mark is dropped, as the CLI drops it
         path.write_bytes(b'\xef\xbb\xbf{"base_braid": [1, 1, 1]}')
         assert load_spec(path) == (TwistSpec((1, 1, 1), ()), [])
+
+    @pytest.mark.parametrize("mode", ["r", "rb"])
+    def test_load_spec_names_a_stream_that_is_not_utf8(self, tmp_path, mode):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"base_braid": [1, 1, 1]}\xff')
+        encoding = "utf-8" if mode == "r" else None
+        with path.open(mode, encoding=encoding) as fh, pytest.raises(ValueError) as err:
+            load_spec(fh)
+        assert str(err.value) == "%s: not UTF-8 text (byte 0xff)" % path
